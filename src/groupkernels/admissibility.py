@@ -2,10 +2,12 @@
 
 a1 (invertible Grams) and a2 (uniform boundedness) are probed by seeded
 sampling; a4 (the interpolation stability constant bounded by 1) is
-scanned over random center sets and a nested query grid with local
-refinement.  a3 (independence of infinite expansions) cannot be falsified
-by finite computation; for product kernels with a strictly positive
-definite scalar factor it is reported as implied by that structure.
+scanned over random center sets.  For the builtin families the supremum
+over queries of each set is exact (see _breakpoint_sup); custom kernels
+get a nested query grid with local refinement.  a3 (independence of
+infinite expansions) cannot be falsified by finite computation; for
+product kernels with a strictly positive definite scalar factor it is
+reported as implied by that structure.
 
 Certification is evidence, not proof: every report records the probe
 budget so a "pass" claim is scoped to it.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +39,11 @@ REFINE_ITERS = 30
 class CertificationConfig:
     """Probe budget for a certification run.
 
-    tolerance is the slack allowed above the stability bound 1: the bound
-    is attained in the limit (query approaching a center), so exact
-    comparison against 1 would be float-hostile.
+    grid_size is the query grid of the a2 sample and, for custom kernels
+    only, of the a4 scan.  tolerance is the slack allowed above the
+    stability bound 1: the bound is attained in the limit (query
+    approaching a center), so exact comparison against 1 would be
+    float-hostile.
     """
 
     max_centers: int = 6
@@ -70,7 +75,17 @@ class ScanResult:
     worst: float
     centers: np.ndarray
     query: float
+    method: str  # "breakpoint-exact" (builtin families) or "grid-golden"
     rows: list = field(default_factory=list)  # (m, trial, worst-per-set)
+
+    def a4_dict(self) -> dict:
+        """The a4 section of a report; worst is None when no set was scanned."""
+        return {
+            "worst": self.worst if self.rows else None,
+            "centers": None if self.centers is None else [float(v) for v in self.centers],
+            "query": self.query,
+            "method": self.method,
+        }
 
 
 @dataclass
@@ -161,7 +176,9 @@ def _stability_values(system: GramSystem, kernel: OperatorKernel,
     g = scalar_values(kernel.scalar, queries[None, :], centers[:, None])
     b = solve_factored(system, g)
     vals = np.abs(b).sum(axis=0)
-    vals[np.isin(queries, centers)] = 1.0
+    # a k-by-m comparison: for a handful of centers np.isin costs more
+    # than the solve itself
+    vals[(queries[:, None] == centers[None, :]).any(axis=1)] = 1.0
     return vals
 
 
@@ -176,40 +193,112 @@ def lebesgue_at(kernel: OperatorKernel, centers, query: float) -> float:
     return float(_stability_values(system, kernel, arr, np.array([q]))[0])
 
 
-def _scan_center_set(kernel: OperatorKernel, system: GramSystem,
-                     centers: np.ndarray, cfg: CertificationConfig):
-    """Worst stability value for one center set: nested grid plus golden
-    refinement around the grid maximizer.  Returns (worst, query)."""
+def _inward_endpoints(kernel: OperatorKernel) -> np.ndarray:
+    """The floats nearest the two domain endpoints, inside the open domain."""
     lo, hi = kernel.scalar.domain
-    queries = vdc_points(lo, hi, cfg.grid_size)
-    vals = _stability_values(system, kernel, centers, queries)
+    return np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
+
+
+def _breakpoint_sup(kernel: OperatorKernel, system: GramSystem, centers: np.ndarray):
+    """Exact per-set supremum of the stability value for the builtin
+    families.  Returns (worst, query), worst computed at query.
+
+    With lo < x_1 < ... < x_m < hi, Lambda(q) = sum_i |b_i(q)| is convex
+    on every segment between consecutive breakpoints lo, x_1, ..., x_m, hi:
+
+    * tfamily (brownianbridge is t = 1), wendland and combination live on
+      a subinterval of (0, 1), so |q - x_i| < 1 and each
+      G(q, x_i) = min(q, x_i) - t*q*x_i or 1 - |q - x_i| is affine in q on
+      a segment.  Then b(q) = G[x]^{-1} G_x(q) is affine there and Lambda
+      is a sum of absolute values of affine functions.
+    * exponential: exp(-|x - y|) is the covariance of a Markov process, so
+      b has at most two nonzeros, the neighbours of q (Rybicki & Press,
+      PRL 74:1060, 1995).  On a gap of width h at offset a from its left
+      center, b_i = sinh(h - a)/sinh h and b_{i+1} = sinh a/sinh h, so
+      Lambda = (sinh a + sinh(h - a))/sinh h = cosh(a - h/2)/cosh(h/2).
+      Below x_1 or above x_m, b = exp(-d) e_1 or exp(-d) e_m, with d the
+      distance to the nearest center, and Lambda = exp(-d).
+
+    A convex function on a segment attains its supremum at an end of it,
+    and at a center b = e_i, so Lambda = 1 exactly.  Hence
+    sup_q Lambda = max(1, Lambda(lo+), Lambda(hi-)).  b extends
+    continuously to the domain endpoints, so the two one-sided limits are
+    evaluated at the nearest floats inside the domain, in one two-column
+    solve.  The witness is that float, or the first center when neither
+    limit exceeds 1, and lebesgue_at reproduces the reported value.
+    """
+    ends = _inward_endpoints(kernel)
+    vals = _stability_values(system, kernel, centers, ends)
+    k = int(np.argmax(vals))
+    if vals[k] > 1.0:
+        return float(vals[k]), float(ends[k])
+    return 1.0, float(centers[0])
+
+
+def _grid_sup(kernel: OperatorKernel, system: GramSystem, centers: np.ndarray,
+              probes: np.ndarray):
+    """Sampled per-set supremum for custom kernels: the probes (nested
+    grid plus the inward domain endpoints) with golden refinement around
+    the best of them.  Returns (worst, query)."""
+    lo, hi = kernel.scalar.domain
+    vals = _stability_values(system, kernel, centers, probes)
 
     def value_at(q):
         return float(_stability_values(system, kernel, centers, np.array([q]))[0])
 
-    qx, qv = refine_max(value_at, queries, vals, lo, hi, iters=REFINE_ITERS)
+    qx, qv = refine_max(value_at, probes, vals, lo, hi, iters=REFINE_ITERS)
     k = int(np.argmax(vals))
     if vals[k] >= qv:
-        return float(vals[k]), float(queries[k])
+        return float(vals[k]), float(probes[k])
     return qv, qx
 
 
-def lebesgue_scan(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
+def _per_set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
+    """The scan method for this kernel and its per-set supremum as a
+    function (system, centers) -> (worst, query)."""
+    if kernel.scalar.family in BUILTIN_FAMILIES:
+        return "breakpoint-exact", partial(_breakpoint_sup, kernel)
+    lo, hi = _require_bounded(kernel)
+    # computed once per scan: the grid is the same for every center set
+    probes = np.concatenate([vdc_points(lo, hi, cfg.grid_size), _inward_endpoints(kernel)])
+    return "grid-golden", partial(_grid_sup, kernel, probes=probes)
+
+
+def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig,
+               singular: list | None = None, on_gram=None) -> ScanResult:
     """Worst stability value over seeded random center sets of every size
-    up to cfg.max_centers.  SingularError propagates with the offending
-    center set attached."""
+    up to cfg.max_centers: the one center-set loop behind lebesgue_scan
+    and certify.
+
+    A singular Gram raises SingularError with the offending centers
+    attached or, when a `singular` list is given, is appended to it and
+    skipped.  on_gram, if given, sees every factorized GramSystem.
+    """
+    method, set_sup = _per_set_sup(kernel, cfg)
     worst, worst_c, worst_q = -math.inf, None, None
     rows = []
     for m, trial, centers in _center_sets(kernel, cfg):
         try:
             system = gram_assemble(kernel, centers)
         except SingularError as exc:
-            raise SingularError(str(exc), centers=centers) from None
-        val, query = _scan_center_set(kernel, system, centers, cfg)
+            if singular is None:
+                raise SingularError(str(exc), centers=centers) from None
+            singular.append([float(v) for v in centers])
+            continue
+        if on_gram is not None:
+            on_gram(system)
+        val, query = set_sup(system, centers)
         rows.append((m, trial, val))
         if val > worst:
             worst, worst_c, worst_q = val, centers, query
-    return ScanResult(worst=worst, centers=worst_c, query=worst_q, rows=rows)
+    return ScanResult(worst=worst, centers=worst_c, query=worst_q, method=method, rows=rows)
+
+
+def lebesgue_scan(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
+    """Worst stability value over seeded random center sets of every size
+    up to cfg.max_centers.  SingularError propagates with the offending
+    center set attached."""
+    return _scan_sets(kernel, cfg)
 
 
 def _a2_sample(kernel: OperatorKernel, cfg: CertificationConfig) -> float:
@@ -231,26 +320,18 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     Failures become report entries, never exceptions: singular center
     sets are recorded under a1 and excluded from the a4 scan.
     """
-    _require_bounded(kernel)
     cond_a = float(np.linalg.cond(kernel.coupling.A))
     worst_cond = 0.0
-    singular: list[list[float]] = []
     cholesky_ok = True
-    worst, worst_c, worst_q = -math.inf, None, None
-    rows = []
-    for m, trial, centers in _center_sets(kernel, cfg):
-        try:
-            system = gram_assemble(kernel, centers)
-        except SingularError:
-            singular.append([float(v) for v in centers])
-            continue
+
+    def record_gram(system):
+        nonlocal worst_cond, cholesky_ok
         worst_cond = max(worst_cond, float(np.linalg.cond(system.G)) * cond_a)
-        if system.kind != "cholesky":
-            cholesky_ok = False
-        val, query = _scan_center_set(kernel, system, centers, cfg)
-        rows.append((m, trial, val))
-        if val > worst:
-            worst, worst_c, worst_q = val, centers, query
+        cholesky_ok = cholesky_ok and system.kind == "cholesky"
+
+    singular: list[list[float]] = []
+    scan = _scan_sets(kernel, cfg, singular=singular, on_gram=record_gram)
+    worst, rows = scan.worst, scan.rows
 
     gmax = _a2_sample(kernel, cfg)
     opnorm = coupling_opnorm(kernel.coupling.A, kernel.p)
@@ -267,12 +348,8 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
         "kappa_analytic": kappa_analytic,
         "max_abs_scalar": gmax,
     }
-    a4 = {
-        "worst": worst if scanned_any else None,
-        "centers": None if worst_c is None else [float(v) for v in worst_c],
-        "query": worst_q,
-    }
     builtin = kernel.scalar.family in BUILTIN_FAMILIES
+    sampled = scan.method == "grid-golden"
     a2_ok = bound is None or gmax <= bound * (1.0 + 1e-12) + cfg.tolerance
     # no surviving center set means no stability evidence at all
     a4_ok = scanned_any and worst <= 1.0 + cfg.tolerance
@@ -286,8 +363,9 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
         "overall": "pass" if (not singular and a2_ok and a4_ok) else "fail",
         "evidence": {
             "center_sets": len(rows) + len(singular),
-            "queries_per_set": cfg.grid_size,
-            "refine_iters": REFINE_ITERS,
+            # the exact path probes no query grid
+            "queries_per_set": cfg.grid_size + 2 if sampled else None,
+            "refine_iters": REFINE_ITERS if sampled else None,
         },
     }
     return CertificationReport(
@@ -295,7 +373,7 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
         config=cfg,
         a1=a1,
         a2=a2,
-        a4=a4,
+        a4=scan.a4_dict(),
         verdict=verdict,
         rows=rows,
     )
@@ -308,11 +386,7 @@ def scan_report_dict(kernel: OperatorKernel, cfg: CertificationConfig,
     return {
         "kernel": kernel_to_dict(kernel),
         "config": cfg.to_dict(),
-        "a4": {
-            "worst": result.worst,
-            "centers": None if result.centers is None else [float(v) for v in result.centers],
-            "query": result.query,
-        },
+        "a4": result.a4_dict(),
         "verdict": {"a4": "pass" if a4_ok else "fail"},
     }
 

@@ -168,6 +168,17 @@ def require_in_domain(spec: ScalarKernelSpec, points, what: str = "point") -> np
     return pts
 
 
+def require_finite(source, table: np.ndarray, rows, columns) -> None:
+    """Reject nan and inf, which float() parses, naming the first such
+    cell of a 2-d table by its row and column labels."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        i, j = bad[0]
+        raise DataFormatError(
+            f"{source}: row {rows[i]}, column {columns[j]}: non-finite value {table[i, j]!r}"
+        )
+
+
 def validate_centers(spec: ScalarKernelSpec, centers) -> np.ndarray:
     """Check centers are in-domain and pairwise distinct; returns an array."""
     arr = require_in_domain(spec, centers, what="center")
@@ -194,6 +205,7 @@ class TaskCoupling:
         A = np.array(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"coupling must be square, got shape {A.shape}")
+        require_finite("coupling", A, range(1, A.shape[0] + 1), range(1, A.shape[1] + 1))
         n = A.shape[0]
         scale = np.abs(A).max() if n else 0.0
         if scale == 0.0 or np.abs(A - A.T).max() > 1e-12 * scale:
@@ -223,7 +235,7 @@ class TaskCoupling:
 
     @classmethod
     def from_csv(cls, path) -> "TaskCoupling":
-        rows = []
+        rows, linenos = [], []
         with open(path, newline="") as fh:
             for i, row in enumerate(csv.reader(fh)):
                 if not row:
@@ -232,8 +244,10 @@ class TaskCoupling:
                     rows.append([float(v) for v in row])
                 except ValueError:
                     raise DataFormatError(f"{path}: row {i + 1}: non-numeric entry") from None
+                linenos.append(i + 1)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise DataFormatError(f"{path}: coupling CSV must be n rows of n values")
+        require_finite(path, np.array(rows), linenos, range(1, len(rows) + 1))
         return cls.from_matrix(rows)
 
 

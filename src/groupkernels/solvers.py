@@ -37,6 +37,7 @@ from .kernels import (
     OperatorKernel,
     kernel_from_dict,
     kernel_to_dict,
+    require_finite,
     scalar_values,
     validate_centers,
 )
@@ -493,7 +494,7 @@ def read_training_csv(path):
         expected = ["x"] + [f"y{i}" for i in range(1, len(header))]
         if len(header) < 2 or header != expected:
             raise DataFormatError(f"{path}: header must be x,y1,...,yn, got {','.join(header)}")
-        xs, ys = [], []
+        xs, ys, linenos = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -511,9 +512,12 @@ def read_training_csv(path):
                     ) from None
             xs.append(vals[0])
             ys.append(vals[1:])
+            linenos.append(lineno)
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(xs), np.asarray(ys)
+    x, y = np.asarray(xs), np.asarray(ys)
+    require_finite(path, np.column_stack([x, y]), linenos, header)
+    return x, y
 
 
 def read_points_csv(path) -> np.ndarray:
@@ -524,7 +528,7 @@ def read_points_csv(path) -> np.ndarray:
         header = next(reader, None)
         if header is None or not header or header[0].strip() != "x":
             raise DataFormatError(f"{path}: first column must be named x")
-        pts = []
+        pts, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -534,6 +538,9 @@ def read_points_csv(path) -> np.ndarray:
                 raise DataFormatError(
                     f"{path}: row {lineno}, column x: non-numeric value {row[0]!r}"
                 ) from None
+            linenos.append(lineno)
     if not pts:
         raise DataFormatError(f"{path}: no data rows")
-    return np.asarray(pts)
+    pts = np.asarray(pts)
+    require_finite(path, pts[:, None], linenos, ["x"])
+    return pts

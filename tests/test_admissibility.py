@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import groupkernels as gk
 from groupkernels.admissibility import (
     CertificationConfig,
+    _center_sets,
+    _per_set_sup,
     certify,
     det_tfamily_closed_form,
     lebesgue_at,
@@ -187,6 +190,11 @@ def test_certify_passes_for_stable_kernel():
     assert report.a2["kappa"] >= report.a2["kappa_sampled"]
     data = report.to_dict()
     assert set(data) == {"kernel", "config", "a1", "a2", "a4", "verdict"}
+    # builtin family: exact per-set suprema, no query grid probed
+    assert data["a4"]["method"] == "breakpoint-exact"
+    evidence = data["verdict"]["evidence"]
+    assert evidence["queries_per_set"] is None and evidence["refine_iters"] is None
+    assert evidence["center_sets"] == SMALL.max_centers * SMALL.trials
 
 
 def test_certify_gaussian_counterexample():
@@ -199,6 +207,9 @@ def test_certify_gaussian_counterexample():
     assert report.verdict["a4"] == "fail"
     assert report.verdict["a3"] == "not-directly-testable"
     assert report.a4["centers"] is not None
+    assert report.a4["method"] == "grid-golden"
+    assert report.verdict["evidence"]["queries_per_set"] == 128 + 2  # grid + endpoints
+    assert report.verdict["evidence"]["refine_iters"] == 30
     # the witness is reproducible: evaluating it directly recovers the value
     direct = lebesgue_at(K, report.a4["centers"], report.a4["query"])
     assert direct == pytest.approx(report.a4["worst"], rel=1e-9)
@@ -256,6 +267,7 @@ def test_scan_report_and_csv_shapes():
     data = scan_report_dict(BRIDGE, SMALL, res)
     assert set(data) == {"kernel", "config", "a4", "verdict"}
     assert data["verdict"]["a4"] == "pass"
+    assert data["a4"]["method"] == "breakpoint-exact"
     text = scan_rows_csv(res.rows)
     lines = text.strip().splitlines()
     assert lines[0] == "m,trial,worst_lambda"
@@ -271,3 +283,84 @@ def test_sampled_centers_respect_separation():
         pts = sample_centers(0.0, 1.0, m, rng)
         assert np.diff(pts).min() >= 1.0 / (10.0 * m)
         assert 0.0 < pts[0] and pts[-1] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# exact breakpoint supremum (builtin families) and the grid path (custom)
+# ---------------------------------------------------------------------------
+
+BUILTIN_VARIANTS = [
+    ("brownianbridge", gk.brownian_bridge()),
+    ("tfamily t=-1", gk.tfamily(-1.0)),
+    ("tfamily t=-0.5", gk.tfamily(-0.5)),
+    ("tfamily t=0", gk.tfamily(0.0)),
+    ("tfamily t=0.5", gk.tfamily(0.5)),
+    ("tfamily t=1", gk.tfamily(1.0)),
+    ("wendland", gk.wendland()),
+    ("wendland (0.2,0.9)", gk.ScalarKernelSpec("wendland", domain=(0.2, 0.9))),
+    ("exponential (-2,2)", gk.exponential((-2.0, 2.0))),
+    ("combination 1,1", gk.combination(1.0, 1.0)),
+    ("combination 1,2 t=-1", gk.combination(1.0, 2.0, t=-1.0)),
+]
+
+
+def _dense_oracle(spec, centers, grid_size=20_000):
+    """sup of Lambda over a dense uniform grid, refined by bounded scalar
+    minimization between the neighbours of the best grid point; plain
+    dense solves, independent of the library's factorization."""
+    lo, hi = spec.domain
+    G = gk.kernels.scalar_values(spec, centers[:, None], centers[None, :])
+
+    def lam(q):
+        g = gk.kernels.scalar_values(spec, np.atleast_1d(q)[None, :], centers[:, None])
+        return np.abs(np.linalg.solve(G, g)).sum(axis=0)
+
+    grid = np.linspace(lo, hi, grid_size + 2)[1:-1]
+    vals = lam(grid)
+    k = int(np.argmax(vals))
+    left, right = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    res = scipy.optimize.minimize_scalar(lambda q: -lam(q)[0], bounds=(left, right),
+                                         method="bounded", options={"xatol": 1e-14})
+    return max(float(vals[k]), -float(res.fun))
+
+
+@pytest.mark.parametrize("name,spec", BUILTIN_VARIANTS, ids=[v[0] for v in BUILTIN_VARIANTS])
+def test_breakpoint_sup_dominates_dense_oracle(name, spec):
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
+    cfg = CertificationConfig(max_centers=6, trials=20, seed=11)
+    method, set_sup = _per_set_sup(K, cfg)
+    assert method == "breakpoint-exact"
+    for _, _, centers in _center_sets(K, cfg):  # 120 seeded sets
+        worst, query = set_sup(gram_assemble(K, centers), centers)
+        assert _dense_oracle(spec, centers) <= worst + 1e-10
+        # the reported value is the one computed at the witness
+        assert lebesgue_at(K, centers, query) == worst
+
+
+@pytest.mark.parametrize("t", [-1.0, -0.5])
+def test_negative_t_scan_rows_match_closed_form(t):
+    # every per-set supremum, not only the scan's worst, is the proven
+    # (1 + |t|)/(1 + |t| x_m), including sets whose last center lies beyond
+    # the last point 0.998 of a 512-point grid
+    K = gk.OperatorKernel(gk.tfamily(t), gk.TaskCoupling.identity(1), p=2)
+    cfg = CertificationConfig(max_centers=6, grid_size=512, trials=200, seed=42)
+    res = lebesgue_scan(K, cfg)
+    assert res.method == "breakpoint-exact"
+    s = -t
+    for (m, trial, val), (m2, trial2, centers) in zip(res.rows, _center_sets(K, cfg), strict=True):
+        assert (m, trial) == (m2, trial2)
+        closed = (1.0 + s) / (1.0 + s * centers[-1])
+        assert abs(val - closed) <= 1e-12 * closed
+
+
+def test_grid_scan_probes_domain_endpoints():
+    # custom kernel equal to tfamily(-1): the supremum 2/(1 + x_m) is the
+    # limit q -> 1, beyond the last grid point 0.998 of a 512-point grid
+    spec = gk.custom(lambda x, y: np.minimum(x, y) + x * y, domain=(0.0, 1.0))
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
+    method, set_sup = _per_set_sup(K, CertificationConfig(grid_size=512))
+    assert method == "grid-golden"
+    centers = np.array([0.5, 0.9995])
+    worst, query = set_sup(gram_assemble(K, centers), centers)
+    assert abs(worst - 2.0 / 1.9995) <= 1e-12
+    assert lebesgue_at(K, centers, query) == worst

@@ -192,6 +192,36 @@ def test_malformed_csv_fails_before_solving(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("command,bad_file,text,where", [
+    ("interpolate", "data", "x,y1\n0.2,1.0\n\n0.7,nan\n", "row 4, column y1"),
+    ("fit", "data", "x,y1\n0.2,1.0\n-inf,0.5\n", "row 3, column x"),
+    ("interpolate", "coupling", "1.0,0.0\n0.0,inf\n", "row 2, column 2"),
+    ("predict", "points", "x\n0.3\ninf\n", "row 3, column x"),
+], ids=["training nan y", "training -inf x", "coupling inf", "points inf"])
+def test_non_finite_values_rejected_at_read(tmp_path, capsys, command, bad_file, text, where):
+    files = {"data": "x,y1,y2\n0.2,1.0,0.0\n0.7,0.5,1.0\n",
+             "coupling": "2.0,0.5\n0.5,1.0\n", "points": "x\n0.3\n0.6\n"}
+    files[bad_file] = text
+    if bad_file == "data":
+        files["coupling"] = "1.0\n"
+    for name, body in files.items():
+        (tmp_path / f"{name}.csv").write_text(body)
+    model, out = tmp_path / "model.json", tmp_path / "out"
+    kernel = ["--kernel", "wendland", "--p", "2", "--coupling", str(tmp_path / "coupling.csv")]
+    if command == "predict":
+        assert run(["interpolate", *kernel, "--data", str(tmp_path / "data.csv"),
+                    "--out", str(model)]) == 0
+        argv = ["predict", "--model", str(model), "--points", str(tmp_path / "points.csv")]
+    else:
+        argv = [command, *kernel, "--data", str(tmp_path / "data.csv")]
+        argv += ["--lambda", "0.1"] if command == "fit" else []
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad_file}.csv: {where}: non-finite value" in err
+    assert not out.exists()
+
+
 def test_wrong_column_count_vs_coupling(tmp_path, capsys):
     train = tmp_path / "train.csv"
     train.write_text("x,y1,y2\n0.5,1.0,2.0\n")

@@ -111,6 +111,8 @@ def test_coupling_validation():
         gk.TaskCoupling.from_matrix([[1.0, 2.0], [0.0, 1.0]])  # not symmetric
     with pytest.raises(ValueError):
         gk.TaskCoupling.from_matrix([[1.0, 0.0], [0.0, -1.0]])  # not PD
+    with pytest.raises(DataFormatError, match="row 2, column 2: non-finite"):
+        gk.TaskCoupling.from_matrix([[1.0, 0.0], [0.0, np.nan]])
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     c = gk.TaskCoupling.from_matrix(A)
     assert np.abs(A @ c.A_inv - np.eye(2)).max() <= 1e-12
