@@ -18,7 +18,14 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ShapeError, SingularError
-from .kernels import OperatorKernel, TaskCoupling, scalar_values, validate_centers
+from .kernels import (
+    MarkovGaps,
+    OperatorKernel,
+    ScalarKernelSpec,
+    TaskCoupling,
+    scalar_values,
+    validate_centers,
+)
 
 # relative pivot threshold below which a factorization counts as singular
 PIVOT_RTOL = 1e-12
@@ -252,6 +259,93 @@ def gram_apply(system: GramSystem, c: BlockVector) -> BlockVector:
     """Apply the operator Gram: block i of the result is sum_j G_ij A c_j."""
     _check_blocks(system, c)
     return BlockVector((system.G @ c.blocks) @ system.coupling.A, c.p)
+
+
+def gram_cond(system: GramSystem) -> float:
+    """LAPACK estimate of the 1-norm condition number of the scalar Gram,
+    from the cached factorization in O(m^2)."""
+    anorm = float(np.abs(system.G).sum(axis=0).max())
+    if system.kind == "cholesky":
+        c, low = system.factor
+        rcond, _ = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if low else "U")
+    else:
+        rcond, _ = scipy.linalg.lapack.dgecon(system.factor[0], anorm, norm="1")
+    return math.inf if rcond == 0.0 else 1.0 / rcond
+
+
+# ---------------------------------------------------------------------------
+# Markov kernels: tridiagonal precision and two-sweep evaluation
+# ---------------------------------------------------------------------------
+
+def _precision(gaps: MarkovGaps):
+    """Diagonal and off-diagonal of the tridiagonal G^{-1} at the sorted
+    sites.
+
+    With G = D_q M D_q and M_ij = r_min{i,j} (a Brownian motion at times
+    r_i), M^{-1} is tridiagonal with weights w_0 = 1/r_1 and
+    w_i = 1/(r_{i+1} - r_i).  Scaled by D_q^{-1} on both sides,
+      (G^{-1})_{i,i+1} = -1/det_i,
+      (G^{-1})_{ii} = (1/(1 - rho_{i-1}) + rho_i/(1 - rho_i)) / G_ii,
+    with rho_i = r_i/r_{i+1} = left_i right_i, rho_0 = 0 (r_0 = 0) and no
+    second term at the last site.  Both diagonal terms are positive.
+    """
+    rho = gaps.left * gaps.right
+    inner = np.concatenate([[1.0], 1.0 / gaps.slack])
+    outer = np.concatenate([rho / gaps.slack, [0.0]])
+    return (inner + outer) / gaps.diag, 1.0 / gaps.det
+
+
+def markov_solve(gaps: MarkovGaps, rhs: np.ndarray) -> np.ndarray:
+    """G^{-1} rhs at the sorted sites by the closed-form tridiagonal
+    precision, in O(m n)."""
+    diag, off = _precision(gaps)
+    out = diag[:, None] * rhs
+    out[:-1] -= off[:, None] * rhs[1:]
+    out[1:] -= off[:, None] * rhs[:-1]
+    return out
+
+
+def _sweep(ratio: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """out_0 = d_0, out_k = ratio_{k-1} out_{k-1} + d_k: forward
+    substitution with a unit lower bidiagonal matrix (LAPACK dtbtrs)."""
+    band = np.zeros((2, d.shape[0]))
+    band[1, :-1] = -ratio
+    out, _ = scipy.linalg.lapack.dtbtrs(band, d, uplo="L", diag="U")
+    return out
+
+
+def markov_eval(spec: ScalarKernelSpec, gaps: MarkovGaps, d: np.ndarray,
+                queries: np.ndarray) -> np.ndarray:
+    """sum_j G(q, x_j) d_j at each query q, for rows d_j at the sorted
+    sites, in O((m + k) n + k log m).
+
+    L_k = sum_{j<=k} (p_j/p_k) d_j and R_k = sum_{j>=k} (q_j/q_k) d_j
+    come from one sweep each, using ratios only.  For x_k <= q < x_{k+1},
+    the sum is G(q, x_k) L_k + G(q, x_{k+1}) R_{k+1}; a query outside the
+    hull keeps only the term of its one neighbour.
+    """
+    low = _sweep(gaps.left, d)
+    high = _sweep(gaps.right[::-1], d[::-1])[::-1]
+    k = np.searchsorted(gaps.sites, queries, side="right") - 1
+    out = np.zeros((queries.size, d.shape[1]))
+    for nb, rows in ((k, low), (k + 1, high)):
+        ok = (nb >= 0) & (nb < gaps.sites.size)
+        g = scalar_values(spec, queries[ok], gaps.sites[nb[ok]])
+        out[ok] += g[:, None] * rows[nb[ok]]
+    return out
+
+
+def markov_cond(spec: ScalarKernelSpec, gaps: MarkovGaps) -> float:
+    """Exact 1-norm condition number of the Gram in O(m): the entries of
+    G are positive, so ||G||_1 is the largest entry of G 1, and G^{-1} is
+    tridiagonal."""
+    ones = np.ones((gaps.sites.size, 1))
+    g_norm = float(markov_eval(spec, gaps, ones, gaps.sites).max())
+    diag, off = _precision(gaps)
+    cols = np.abs(diag)
+    cols[:-1] += off
+    cols[1:] += off
+    return g_norm * float(cols.max())
 
 
 def _solve_block(A: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> np.ndarray:

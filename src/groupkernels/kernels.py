@@ -116,24 +116,29 @@ def custom(func, domain: tuple[float, float]) -> ScalarKernelSpec:
     return ScalarKernelSpec("custom", domain=domain, func=func)
 
 
+def _min_t_max(spec: ScalarKernelSpec, x, y) -> np.ndarray:
+    """min{x,y} - t*x*y, factored as (1 - t*max{x,y}) * min{x,y}: a
+    relative error of a few ulp near x = y = 1 with t = 1, where the
+    difference form loses digits, and bitwise symmetric in (x, y)."""
+    t = 1.0 if spec.family == "brownianbridge" else spec.t
+    # the factor is complete before min{x,y} is formed, so at most two
+    # broadcast-sized arrays are live at once
+    return (1.0 - t * np.maximum(x, y)) * np.minimum(x, y)
+
+
 def scalar_values(spec: ScalarKernelSpec, x, y) -> np.ndarray:
     """Vectorized kernel evaluation with numpy broadcasting; no domain checks."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    # x*y is grouped first so evaluation is bitwise symmetric in (x, y)
-    if spec.family == "brownianbridge":
-        return np.minimum(x, y) - x * y
-    if spec.family == "tfamily":
-        return np.minimum(x, y) - spec.t * (x * y)
+    if spec.family in ("brownianbridge", "tfamily"):
+        return _min_t_max(spec, x, y)
     if spec.family == "wendland":
         return np.maximum(1.0 - np.abs(x - y), 0.0)
     if spec.family == "exponential":
         return np.exp(-np.abs(x - y))
     if spec.family == "combination":
         c1, c2 = spec.weights
-        return c1 * (np.minimum(x, y) - spec.t * (x * y)) + c2 * np.maximum(
-            1.0 - np.abs(x - y), 0.0
-        )
+        return c1 * _min_t_max(spec, x, y) + c2 * np.maximum(1.0 - np.abs(x - y), 0.0)
     return np.asarray(spec.func(x, y), dtype=float)
 
 
@@ -156,6 +161,59 @@ def scalar_uniform_bound(spec: ScalarKernelSpec) -> float | None:
     return None
 
 
+@dataclass(frozen=True)
+class MarkovGaps:
+    """Site and gap quantities of a kernel G(x, y) = p(min{x,y}) q(max{x,y})
+    whose ratio r = p/q is positive and strictly increasing, at the sites
+    sorted as x_1 < ... < x_m.
+
+    order  permutation sorting the caller's sites; sites = caller[order]
+    diag   G(x_i, x_i) = p_i q_i                                  (m,)
+    left   p_i / p_{i+1}                                          (m-1,)
+    right  q_{i+1} / q_i                                          (m-1,)
+    det    p_{i+1} q_i - p_i q_{i+1} = q_i q_{i+1} (r_{i+1} - r_i)  (m-1,)
+    slack  1 - r_i / r_{i+1}                                      (m-1,)
+
+    Every entry is written in terms of the gap h_i = x_{i+1} - x_i
+    without forming p or q, so unbounded exponential sites cannot
+    overflow: det is 2 sinh(h_i) for exponential and h_i for tfamily.
+    """
+
+    order: np.ndarray
+    sites: np.ndarray
+    diag: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    det: np.ndarray
+    slack: np.ndarray
+
+
+def markov_gaps(spec: ScalarKernelSpec, sites) -> MarkovGaps | None:
+    """The Markov structure of spec at distinct sites, or None when the
+    family has none.
+
+    exponential has p = e^x, q = e^-x; tfamily(t) (and so
+    brownianbridge) has p = x, q = 1 - t*x, positive on (0, 1) for every
+    t in [-1, 1].  Their Gram inverses are tridiagonal.  wendland,
+    combination and custom kernels are not of this form.
+    """
+    if spec.family not in ("exponential", "tfamily", "brownianbridge"):
+        return None
+    x = np.asarray(sites, dtype=float)
+    order = np.argsort(x, kind="stable")
+    x = x[order]
+    h = x[1:] - x[:-1]
+    if spec.family == "exponential":
+        decay = np.exp(-h)
+        with np.errstate(over="ignore"):  # det = inf past h ~ 710: a zero precision entry
+            det = 2.0 * np.sinh(h)
+        return MarkovGaps(order, x, np.ones_like(x), decay, decay, det, -np.expm1(-2.0 * h))
+    t = 1.0 if spec.family == "brownianbridge" else spec.t
+    q = 1.0 - t * x
+    return MarkovGaps(order, x, x * q, x[:-1] / x[1:], q[1:] / q[:-1],
+                      h, h / (x[1:] * q[:-1]))
+
+
 def require_in_domain(spec: ScalarKernelSpec, points, what: str = "point") -> np.ndarray:
     """Return points as a float array, raising DomainError if any lies
     outside the open interval."""
@@ -164,7 +222,7 @@ def require_in_domain(spec: ScalarKernelSpec, points, what: str = "point") -> np
     inside = (pts > lo) & (pts < hi)
     if not np.all(inside):
         bad = np.atleast_1d(pts)[~np.atleast_1d(inside)][:1]
-        raise DomainError(f"{what} {bad[0]!r} outside open domain ({lo}, {hi})")
+        raise DomainError(f"{what} {float(bad[0])!r} outside open domain ({lo}, {hi})")
     return pts
 
 

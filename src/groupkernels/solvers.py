@@ -22,27 +22,38 @@ from .blocklinalg import (
     block_norms,
     gram_apply,
     gram_assemble,
+    gram_cond,
     gram_solve,
     lp1_norm,
+    markov_cond,
+    markov_eval,
+    markov_solve,
 )
 from .errors import (
     DataFormatError,
-    DomainError,
     NonconvergenceError,
     RankError,
     ShapeError,
+    SingularError,
 )
 from .gridsearch import refine_max, vdc_points
 from .kernels import (
     OperatorKernel,
     kernel_from_dict,
     kernel_to_dict,
+    markov_gaps,
     require_finite,
+    require_in_domain,
     scalar_values,
     validate_centers,
 )
 
 PURSUIT_TOL = 1e-9  # primal/dual residual stop for basis pursuit
+# min_norm_interpolant raises SingularError past either limit
+INTERP_RESIDUAL_RTOL = 1e-8
+INTERP_COND_MAX = 1e12
+# queries per dense kernel block in predict_many
+PREDICT_CHUNK = 1024
 _RHO_MIN, _RHO_MAX = 1e-8, 1e8
 # balancing every iteration can drive a period-2 limit cycle on piecewise
 # linear problems; adapt on a cadence and then freeze (fixed-rho ADMM
@@ -99,29 +110,63 @@ def _make_model(kernel, centers, blocks, meta) -> FitModel:
 def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
     """Interpolant over the sites x by the exact Kronecker-factored solve.
 
-    When the kernel passes the stability certification this expansion is
-    the minimal grouped-norm interpolant among all expansions anywhere.
+    Markov kernels (markov_gaps: exponential, tfamily, brownianbridge)
+    use the closed-form tridiagonal precision in O(m n); the others
+    factorize the dense Gram.  Either way the fit is checked: a relative
+    residual max|G C A - Y| / max(1, max|Y|) above INTERP_RESIDUAL_RTOL,
+    or a 1-norm condition number of G above INTERP_COND_MAX, raises
+    SingularError.  When the kernel passes the stability certification
+    this expansion is the minimal grouped-norm interpolant among all
+    expansions anywhere.
     """
-    system = gram_assemble(kernel, x)
-    coeffs = gram_solve(system, BlockVector(y.blocks, kernel.p))
-    resid = gram_apply(system, coeffs).blocks - y.blocks
-    meta = {
-        "solver": "exact-gram",
-        "iterations": 0,
-        "residual": float(np.abs(resid).max()) if resid.size else 0.0,
-    }
-    return _make_model(kernel, x, coeffs.blocks, meta)
+    spec, coupling = kernel.scalar, kernel.coupling
+    x = validate_centers(spec, x)
+    if x.size == 0:
+        raise ShapeError("at least one center is required")
+    if y.m != x.size or y.n != coupling.n:
+        raise ShapeError(f"expected {x.size} blocks of dimension {coupling.n}, got {y.m} of {y.n}")
+    gaps = markov_gaps(spec, x)
+    if gaps is None:
+        system = gram_assemble(kernel, x)
+        coeffs = gram_solve(system, BlockVector(y.blocks, kernel.p)).blocks
+        fitted = gram_apply(system, BlockVector(coeffs, kernel.p)).blocks
+        cond, solver = gram_cond(system), "exact-gram"
+    else:
+        coeffs = np.empty_like(y.blocks)
+        coeffs[gaps.order] = markov_solve(gaps, y.blocks[gaps.order]) @ coupling.A_inv
+        fitted = np.empty_like(y.blocks)
+        fitted[gaps.order] = markov_eval(spec, gaps, coeffs[gaps.order] @ coupling.A, gaps.sites)
+        cond, solver = markov_cond(spec, gaps), "markov-precision"
+    resid = float(np.abs(fitted - y.blocks).max())
+    scale = max(1.0, float(np.abs(y.blocks).max()))
+    if not (resid <= INTERP_RESIDUAL_RTOL * scale and cond <= INTERP_COND_MAX):
+        raise SingularError(
+            f"interpolation unreliable: relative residual {resid / scale:.3e} "
+            f"(limit {INTERP_RESIDUAL_RTOL:.0e}), condition number {cond:.3e} "
+            f"(limit {INTERP_COND_MAX:.0e})"
+        )
+    meta = {"solver": solver, "iterations": 0, "residual": resid, "cond": cond}
+    return _make_model(kernel, x, coeffs, meta)
 
 
 def predict_many(model: FitModel, queries) -> np.ndarray:
-    """Expansion values sum_j G(x_j, q) A c_j at many queries, as (k, n)."""
+    """Expansion values sum_j G(x_j, q) A c_j at many queries, as (k, n).
+
+    Markov kernels take two sweeps over the sorted centers plus a binary
+    search per query; the others evaluate PREDICT_CHUNK queries at a
+    time against all centers, so memory stays O(PREDICT_CHUNK m).
+    """
     spec = model.kernel.scalar
-    q = np.atleast_1d(np.asarray(queries, dtype=float))
-    lo, hi = spec.domain
-    if np.any(q <= lo) or np.any(q >= hi):
-        raise DomainError(f"query outside open domain ({lo}, {hi})")
-    e = scalar_values(spec, q[:, None], model.centers[None, :])
-    return (e @ model.coeffs.blocks) @ model.kernel.coupling.A
+    q = require_in_domain(spec, np.atleast_1d(np.asarray(queries, dtype=float)), what="query")
+    a = model.kernel.coupling.A
+    gaps = markov_gaps(spec, model.centers)
+    if gaps is not None:
+        return markov_eval(spec, gaps, model.coeffs.blocks[gaps.order] @ a, q)
+    out = np.empty((q.size, model.coeffs.n))
+    for start in range(0, q.size, PREDICT_CHUNK):
+        e = scalar_values(spec, q[start:start + PREDICT_CHUNK, None], model.centers[None, :])
+        out[start:start + PREDICT_CHUNK] = (e @ model.coeffs.blocks) @ a
+    return out
 
 
 def predict(model: FitModel, query: float) -> np.ndarray:
@@ -463,17 +508,41 @@ def model_to_dict(model: FitModel) -> dict:
 
 
 def model_from_dict(data: dict) -> FitModel:
+    """Rebuild a persisted model, rejecting coefficients whose shape is not
+    (centers, coupling dimension), non-finite coefficients, and centers
+    that are non-finite, outside the open domain or repeated."""
     kernel = kernel_from_dict(data["kernel"])
     p = data.get("p", kernel.p)
     p = math.inf if p == "inf" else float(p)
-    coeffs = BlockVector(np.array(data["coeffs"], dtype=float), p)
+    centers = np.asarray(data["centers"], dtype=float)
+    blocks = np.array(data["coeffs"], dtype=float)
+    if centers.ndim != 1 or centers.size == 0:
+        raise DataFormatError("model centers must be a nonempty list of reals")
+    if blocks.shape != (centers.size, kernel.n):
+        raise DataFormatError(
+            f"model coefficients have shape {blocks.shape}, expected "
+            f"({centers.size}, {kernel.n}) for {centers.size} centers and n={kernel.n}"
+        )
+    lo, hi = kernel.scalar.domain
+    outside = ~((centers > lo) & (centers < hi))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise DataFormatError(
+            f"model center {i + 1} ({float(centers[i])!r}) is not a finite point of the "
+            f"open domain ({lo}, {hi})"
+        )
+    if np.unique(centers).size != centers.size:
+        raise DataFormatError("model centers must be pairwise distinct")
+    if not np.all(np.isfinite(blocks)):
+        raise DataFormatError("model coefficients must be finite")
+    coeffs = BlockVector(blocks, p)
     norm = lp1_norm(coeffs)
     stored = float(data.get("norm_lp1", norm))
     if abs(stored - norm) > 1e-12 * max(1.0, norm):
         raise DataFormatError("stored norm_lp1 disagrees with stored coefficients")
     return FitModel(
         kernel=kernel,
-        centers=np.asarray(data["centers"], dtype=float),
+        centers=centers,
         coeffs=coeffs,
         norm_lp1=norm,
         meta=dict(data.get("meta", {})),
@@ -520,9 +589,10 @@ def read_training_csv(path):
     return x, y
 
 
-def read_points_csv(path) -> np.ndarray:
+def read_points_csv(path, domain=None) -> np.ndarray:
     """Query points from a CSV whose first column is x (extra columns are
-    ignored, so a training file works as-is)."""
+    ignored, so a training file works as-is).  With an open interval
+    domain=(lo, hi), a point outside it is rejected naming its row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -543,4 +613,13 @@ def read_points_csv(path) -> np.ndarray:
         raise DataFormatError(f"{path}: no data rows")
     pts = np.asarray(pts)
     require_finite(path, pts[:, None], linenos, ["x"])
+    if domain is not None:
+        lo, hi = domain
+        outside = np.flatnonzero((pts <= lo) | (pts >= hi))
+        if outside.size:
+            i = outside[0]
+            raise DataFormatError(
+                f"{path}: row {linenos[i]}, column x: value {float(pts[i])!r} outside "
+                f"open domain ({lo}, {hi})"
+            )
     return pts

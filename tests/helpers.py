@@ -74,3 +74,25 @@ def random_sites(kernel, m, rng):
 
 def random_block_vector(m, n, p, rng, scale=1.0):
     return BlockVector(scale * rng.standard_normal((m, n)), p)
+
+
+def shuffled_sites(lo, hi, m, rng):
+    """m sites in random order, one in the middle 80% of each of m equal
+    cells of (lo, hi): the Gram stays well conditioned, so the dense
+    oracle below is accurate to about 1e-13."""
+    return rng.permutation(lo + (hi - lo) * (np.arange(m) + 0.1 + 0.8 * rng.random(m)) / m)
+
+
+def dense_interpolant_coeffs(kernel, x, y_blocks):
+    """Coefficients C with G C A = Y from the explicit scalar Gram and a
+    dense LU solve; oracle only."""
+    g = gk.kernels.scalar_values(kernel.scalar, x[:, None], x[None, :])
+    return np.linalg.solve(g, y_blocks) @ np.linalg.inv(kernel.coupling.A)
+
+
+def dense_predictions(model, queries):
+    """Expansion values from the full query-by-center kernel matrix, and
+    the per-entry scale sum_j |G(q, x_j)| |(C A)_j| of their rounding."""
+    e = gk.kernels.scalar_values(model.kernel.scalar, queries[:, None], model.centers[None, :])
+    ca = model.coeffs.blocks @ model.kernel.coupling.A
+    return e @ ca, np.abs(e) @ np.abs(ca)

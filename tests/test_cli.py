@@ -193,11 +193,13 @@ def test_malformed_csv_fails_before_solving(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,bad_file,text,where", [
-    ("interpolate", "data", "x,y1\n0.2,1.0\n\n0.7,nan\n", "row 4, column y1"),
-    ("fit", "data", "x,y1\n0.2,1.0\n-inf,0.5\n", "row 3, column x"),
-    ("interpolate", "coupling", "1.0,0.0\n0.0,inf\n", "row 2, column 2"),
-    ("predict", "points", "x\n0.3\ninf\n", "row 3, column x"),
-], ids=["training nan y", "training -inf x", "coupling inf", "points inf"])
+    ("interpolate", "data", "x,y1\n0.2,1.0\n\n0.7,nan\n", "row 4, column y1: non-finite value"),
+    ("fit", "data", "x,y1\n0.2,1.0\n-inf,0.5\n", "row 3, column x: non-finite value"),
+    ("interpolate", "coupling", "1.0,0.0\n0.0,inf\n", "row 2, column 2: non-finite value"),
+    ("predict", "points", "x\n0.3\ninf\n", "row 3, column x: non-finite value"),
+    ("predict", "points", "x\n0.3\n\n5.0\n",
+     "row 4, column x: value 5.0 outside open domain (0.0, 1.0)"),
+], ids=["training nan y", "training -inf x", "coupling inf", "points inf", "points out of domain"])
 def test_non_finite_values_rejected_at_read(tmp_path, capsys, command, bad_file, text, where):
     files = {"data": "x,y1,y2\n0.2,1.0,0.0\n0.7,0.5,1.0\n",
              "coupling": "2.0,0.5\n0.5,1.0\n", "points": "x\n0.3\n0.6\n"}
@@ -218,7 +220,46 @@ def test_non_finite_values_rejected_at_read(tmp_path, capsys, command, bad_file,
     capsys.readouterr()
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{bad_file}.csv: {where}: non-finite value" in err
+    assert f"{bad_file}.csv: {where}" in err
+    assert not out.exists()
+
+
+def test_near_duplicate_sites_exit_2(tmp_path, capsys):
+    # exponential sites 1e-14 apart: the parent wrote a model with residual
+    # 5.5e-3 and norm 1e14 and exited 0
+    train = tmp_path / "train.csv"
+    train.write_text("x,y1\n0.3,1.0\n0.30000000000001,2.0\n0.9,0.5\n")
+    out = tmp_path / "model.json"
+    rc = run(["interpolate", "--data", str(train), "--kernel", "exponential", "--p", "2",
+              "--coupling", "identity:1", "--out", str(out)])
+    assert rc == 2
+    assert "SingularError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tamper,fragment", [
+    (lambda d: d["centers"].__setitem__(1, 5.0), "model center 2 (5.0) is not a finite point"),
+    (lambda d: d["centers"].__setitem__(0, float("nan")), "model center 1 (nan)"),
+    (lambda d: d["centers"].__setitem__(2, d["centers"][0]), "pairwise distinct"),
+    (lambda d: d["coeffs"].pop(), "coefficients have shape (2, 2), expected (3, 2)"),
+    (lambda d: [row.pop() for row in d["coeffs"]], "shape (3, 1), expected (3, 2)"),
+], ids=["center out of domain", "center nan", "duplicate center", "missing block", "short blocks"])
+def test_predict_rejects_invalid_model(tmp_path, capsys, tamper, fragment):
+    train, pts = tmp_path / "train.csv", tmp_path / "pts.csv"
+    train.write_text("x,y1,y2\n-1.0,1.0,0.0\n0.2,0.5,1.0\n1.5,0.0,2.0\n")
+    pts.write_text("x\n0.0\n")
+    model = tmp_path / "model.json"
+    assert run(["interpolate", "--data", str(train), "--kernel", "exponential",
+                "--domain=-2,2", "--p", "2", "--coupling", "identity:2",
+                "--out", str(model)]) == 0
+    data = json.loads(model.read_text())
+    tamper(data)
+    model.write_text(json.dumps(data))
+    out = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), "--points", str(pts), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "DataFormatError" in err and fragment in err
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,12 @@ from groupkernels.errors import (
     NonconvergenceError,
     RankError,
     ShapeError,
+    SingularError,
 )
 from groupkernels.solvers import (
+    INTERP_COND_MAX,
+    INTERP_RESIDUAL_RTOL,
+    PREDICT_CHUNK,
     LearnConfig,
     block_soft_threshold,
     expansion_sup_norm,
@@ -32,7 +37,13 @@ from groupkernels.solvers import (
     read_training_csv,
 )
 
-from helpers import random_coupling, random_sites
+from helpers import (
+    dense_interpolant_coeffs,
+    dense_predictions,
+    random_coupling,
+    random_sites,
+    shuffled_sites,
+)
 
 BRIDGE1 = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.identity(1), p=2)
 EXP2 = gk.OperatorKernel(gk.exponential((-2.0, 2.0)), gk.TaskCoupling.identity(2), p=2)
@@ -92,6 +103,97 @@ def test_predict_examples():
     np.testing.assert_allclose(predict(model, 0.25), expected, rtol=1e-9)
     with pytest.raises(DomainError):
         predict(model, 1.0)
+
+
+MARKOV_SPECS = [
+    ("exponential (-2,2)", gk.exponential((-2.0, 2.0))),
+    ("exponential unbounded", gk.exponential()),
+    *[(f"tfamily t={t}", gk.tfamily(t)) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)],
+    ("brownianbridge", gk.brownian_bridge()),
+]
+
+
+@pytest.mark.parametrize("spec", [s for _, s in MARKOV_SPECS], ids=[i for i, _ in MARKOV_SPECS])
+def test_markov_path_matches_dense_oracle(spec):
+    """Unsorted sites, m = 1..60, n in {1, 3}: coefficients within 1e-10
+    relative and predictions within 1e-12 of sum_j |G(q, x_j)| |(C A)_j|.
+    Unbounded exponential sites reach |x| ~ 700, where e^x overflows."""
+    rng = np.random.default_rng(17)
+    lo, hi = spec.domain
+    span = (-700.0, 700.0) if math.isinf(lo) else (lo, hi)
+    for m in range(1, 61):
+        for n in (1, 3):
+            K = gk.OperatorKernel(spec, random_coupling(n, rng), p=2)
+            x = shuffled_sites(*span, m, rng)
+            y = rng.standard_normal((m, n))
+            model = min_norm_interpolant(K, x, BlockVector(y, 2))
+            assert model.meta["solver"] == "markov-precision"
+            np.testing.assert_array_equal(model.centers, x)
+            ref = dense_interpolant_coeffs(K, x, y)
+            assert np.abs(model.coeffs.blocks - ref).max() <= 1e-10 * np.abs(ref).max()
+            inside = rng.uniform(max(lo, x.min() - 5.0), min(hi, x.max() + 5.0), 100)
+            queries = np.concatenate([inside, x])
+            want, scale = dense_predictions(model, queries)
+            gap = np.abs(predict_many(model, queries) - want)
+            assert np.all(gap <= 1e-12 * np.maximum(scale, np.finfo(float).tiny))
+
+
+def test_markov_path_allocates_no_dense_block(monkeypatch):
+    """m = k = 200,000: no kernel block beyond O(m + k) entries, and a
+    traced peak of a few dozen arrays of length m."""
+    m = k = 200_000
+    original = gk.kernels.scalar_values
+
+    def guarded(spec, x, y):
+        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+        assert math.prod(shape) <= m + k, f"dense kernel block {shape}"
+        return original(spec, x, y)
+
+    for module in (gk.blocklinalg, gk.solvers):
+        monkeypatch.setattr(module, "scalar_values", guarded)
+    rng = np.random.default_rng(4)
+    K = gk.OperatorKernel(gk.exponential(), random_coupling(2, rng), p=2)
+    x = shuffled_sites(-100.0, 100.0, m, rng)
+    y = np.stack([np.sin(x), np.cos(0.5 * x)], axis=1)
+    queries = rng.uniform(-110.0, 110.0, k)
+    tracemalloc.start()
+    try:
+        model = min_norm_interpolant(K, x, BlockVector(y, 2))
+        preds = predict_many(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.meta["solver"] == "markov-precision"
+    assert preds.shape == (k, 2)
+    assert peak <= 40 * 8 * (m + k) * 2
+
+
+def test_dense_predict_chunks_match_one_shot():
+    rng = np.random.default_rng(12)
+    K = gk.OperatorKernel(gk.wendland(), random_coupling(3, rng), p=2)
+    x = shuffled_sites(0.0, 1.0, 40, rng)
+    model = min_norm_interpolant(K, x, BlockVector(rng.standard_normal((40, 3)), 2))
+    assert model.meta["solver"] == "exact-gram"
+    queries = rng.uniform(0.0, 1.0, 3 * PREDICT_CHUNK + 17)
+    want, scale = dense_predictions(model, queries)
+    assert np.all(np.abs(predict_many(model, queries) - want) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("spec", [gk.exponential(), gk.wendland()], ids=["markov", "dense"])
+def test_interpolation_guard(spec):
+    """Sites 1e-14 apart raise SingularError on both paths, through the
+    residual, and through the condition number alone when the two values
+    agree; a well-separated fit records its condition number."""
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
+    y = BlockVector([[1.0], [2.0], [0.5]], 2)
+    for values in (y, BlockVector([[1.0], [1.0], [0.5]], 2)):
+        with pytest.raises(SingularError):
+            min_norm_interpolant(K, [0.3, 0.3 + 1e-14, 0.9], values)
+    model = min_norm_interpolant(K, [0.3, 0.6, 0.9], y)
+    g = gk.kernels.scalar_values(spec, model.centers[:, None], model.centers[None, :])
+    assert model.meta["cond"] == pytest.approx(np.linalg.cond(g, 1), rel=1e-6)
+    assert model.meta["cond"] < INTERP_COND_MAX
+    assert model.meta["residual"] <= INTERP_RESIDUAL_RTOL
 
 
 # ---------------------------------------------------------------------------
