@@ -20,7 +20,6 @@ from .blocklinalg import (
     gram_assemble,
     gram_solve,
     lp1_norm,
-    operator_lp1_norm_product,
 )
 from .errors import (
     DataFormatError,
@@ -40,12 +39,10 @@ from .kernels import (
     brownian_bridge,
     combination,
     custom,
-    eval_operator,
     eval_scalar,
     exponential,
     kernel_from_dict,
     kernel_to_dict,
-    kernel_vector,
     tfamily,
     wendland,
 )

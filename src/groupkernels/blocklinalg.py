@@ -1,5 +1,6 @@
-"""Block-vector norms, Kronecker-factored Gram systems, operator-column
-norms for product kernels, and the 2x2 block inversion identity.
+"""Block-vector norms, the coupling operator norm, Kronecker-factored
+Gram systems, the Markov-kernel precision, and the 2x2 block inversion
+identity.
 
 The operator Gram of a product kernel is never materialized densely:
 ``K[x] = G (x) A`` (Kronecker) is the canonical representation, and all
@@ -108,18 +109,6 @@ def lp1_norm(c: BlockVector) -> float:
     return float(block_norms(c.blocks, c.p).sum())
 
 
-def matrix_opnorm(A: np.ndarray, p: float) -> float:
-    """Induced p -> p operator norm, for p in {1, 2, inf}."""
-    A = np.asarray(A, dtype=float)
-    if p == 1:
-        return float(np.abs(A).sum(axis=0).max())
-    if p == 2:
-        return float(np.linalg.norm(A, 2))
-    if math.isinf(p):
-        return float(np.abs(A).sum(axis=1).max())
-    raise ValueError(f"induced operator norm implemented for p in {{1, 2, inf}}, got {p}")
-
-
 def coupling_opnorm(A: np.ndarray, p: float) -> float:
     """Induced p -> q operator norm for conjugate q.
 
@@ -149,40 +138,6 @@ def coupling_opnorm(A: np.ndarray, p: float) -> float:
     # the sum of all |a_ij| bounds the inf->1 endpoint over complex vectors,
     # keeping the interpolated product a genuine upper bound
     return n22 ** (1.0 - theta) * float(np.abs(A).sum()) ** theta
-
-
-def operator_lp1_norm_product(b) -> float:
-    """Column-operator norm sum |b_i| for product kernels.
-
-    The column (b_i * I)_i maps c to blocks b_i * c, so its operator norm
-    in the grouped sum-of-block-norms sense is sum |b_i| for every p, and
-    the task coupling cancels out entirely.
-    """
-    return float(np.abs(np.asarray(b, dtype=float)).sum())
-
-
-def operator_lp1_norm_sampled(blocks: np.ndarray, p: float, trials: int = 1000,
-                              seed: int = 0) -> float:
-    """Sampled lower bound of the column-operator norm for general blocks.
-
-    blocks is an (m, n, n) stack; the value is the max over random unit
-    vectors c of sum_i ||blocks[i] @ c||_p.  No closed form is implemented
-    for non-product columns; this bound is the fallback.
-    """
-    blocks = np.asarray(blocks, dtype=float)
-    m, n, _ = blocks.shape
-    rng = np.random.default_rng(np.random.SeedSequence((seed, m, n)))
-    c = rng.standard_normal((trials, n))
-    # include sign-aligned probes, extremal for scalar-multiple blocks
-    c = np.vstack([c, np.eye(n), np.ones((1, n))])
-    norms = block_norms(c, p)
-    c = c[norms > 0] / norms[norms > 0, None]
-    applied = np.einsum("ijk,ck->cij", blocks, c)
-    if math.isinf(p):
-        per_block = np.abs(applied).max(axis=2)
-    else:
-        per_block = np.linalg.norm(applied, ord=p, axis=2)
-    return float(per_block.sum(axis=1).max())
 
 
 @dataclass(frozen=True)

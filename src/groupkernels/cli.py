@@ -23,26 +23,15 @@ from . import admissibility, kernels, solvers
 from .blocklinalg import BlockVector
 from .errors import (
     DataFormatError,
-    DomainError,
-    DuplicateCenterError,
     GroupKernelsError,
     NonconvergenceError,
-    OrderError,
     RankError,
-    ShapeError,
     SingularError,
 )
 
-_USAGE_ERRORS = (
-    DataFormatError,
-    DomainError,
-    DuplicateCenterError,
-    OrderError,
-    ShapeError,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-)
+# every package error that is not a mathematical failure is caller misuse
+# or bad input; json.JSONDecodeError is a ValueError
+_USAGE_ERRORS = (GroupKernelsError, ValueError, OSError)
 _MATH_ERRORS = (SingularError, RankError, NonconvergenceError)
 
 
@@ -110,7 +99,8 @@ def _parse_coupling(value: str) -> kernels.TaskCoupling:
 
 
 def _add_kernel_flags(sub):
-    sub.add_argument("--kernel", choices=kernels.BUILTIN_FAMILIES)
+    families = (*kernels.FAMILY_ALIASES, *kernels.BUILTIN_FAMILIES)
+    sub.add_argument("--kernel", choices=families)
     sub.add_argument("--kernel-json", help="load the full kernel object from JSON instead")
     sub.add_argument("--t", type=float, default=None)
     sub.add_argument("--weights", default=None, help="C1,C2 for the combination family")
@@ -163,7 +153,7 @@ def _predictions_csv(points: np.ndarray, preds: np.ndarray) -> str:
 
 
 def _load_training(args, kernel):
-    x, y = solvers.read_training_csv(args.data)
+    x, y = solvers.read_training_csv(args.data, kernel.scalar.domain)
     if y.shape[1] != kernel.coupling.n:
         raise DataFormatError(
             f"{args.data}: {y.shape[1]} output columns but coupling has n={kernel.coupling.n}"
@@ -349,9 +339,6 @@ def run(argv) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except _USAGE_ERRORS as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except GroupKernelsError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

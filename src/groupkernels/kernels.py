@@ -1,10 +1,11 @@
 """Scalar kernel families on intervals of the real line and their
 multi-task operator lifts ``G(x, y) * A``.
 
-Five closed-form families are built in (all symmetric and uniformly
-bounded on their domains); a ``custom`` family wraps an arbitrary
-symmetric callable for diagnostics.  Kernel objects are immutable and
-evaluation is pure, so they are safe to share across threads.
+Four closed-form families are built in (all symmetric and uniformly
+bounded on their domains), plus ``brownianbridge``, which parses to
+``tfamily`` with t = 1; a ``custom`` family wraps an arbitrary symmetric
+callable for diagnostics.  Kernel objects are immutable and evaluation
+is pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,17 +20,21 @@ import numpy as np
 
 from .errors import DataFormatError, DomainError, DuplicateCenterError
 
-BUILTIN_FAMILIES = ("brownianbridge", "tfamily", "wendland", "exponential", "combination")
+BUILTIN_FAMILIES = ("tfamily", "wendland", "exponential", "combination")
+
+# names that parse to a builtin family with its parameter fixed; a spec
+# (and so its JSON) carries the builtin family
+FAMILY_ALIASES = {"brownianbridge": ("tfamily", 1.0)}
 
 # families defined on the unit interval only
-_UNIT_FAMILIES = ("brownianbridge", "tfamily", "wendland", "combination")
+_UNIT_FAMILIES = ("tfamily", "wendland", "combination")
 
 
 @dataclass(frozen=True)
 class ScalarKernelSpec:
     """Parametric description of a scalar kernel on an open interval.
 
-    family   one of BUILTIN_FAMILIES, or "custom"
+    family   one of BUILTIN_FAMILIES, a FAMILY_ALIASES name, or "custom"
     t        mixing parameter of the min{x,y} - t*x*y family, in [-1, 1];
              also used for the first term of a combination (default 1.0)
     weights  (C1, C2) nonnegative weights of a combination, C1 + C2 > 0
@@ -46,6 +51,12 @@ class ScalarKernelSpec:
     )
 
     def __post_init__(self):
+        if self.family in FAMILY_ALIASES:
+            if self.t is not None:
+                raise ValueError(f"{self.family} takes no parameter t")
+            family, t = FAMILY_ALIASES[self.family]
+            object.__setattr__(self, "family", family)
+            object.__setattr__(self, "t", t)
         if self.family not in BUILTIN_FAMILIES + ("custom",):
             raise ValueError(f"unknown kernel family {self.family!r}")
         lo, hi = float(self.domain[0]), float(self.domain[1])
@@ -54,34 +65,30 @@ class ScalarKernelSpec:
         object.__setattr__(self, "domain", (lo, hi))
         if self.family in _UNIT_FAMILIES and not (0.0 <= lo < hi <= 1.0):
             raise ValueError(f"{self.family} is defined on (0, 1); got ({lo}, {hi})")
-        if self.family == "tfamily":
-            if self.t is None:
+        if self.family in ("tfamily", "combination"):
+            if self.t is None and self.family == "tfamily":
                 raise ValueError("tfamily requires the parameter t")
-            t = float(self.t)
-            if not -1.0 <= t <= 1.0:
-                raise ValueError(f"t must lie in [-1, 1], got {t}")
-            object.__setattr__(self, "t", t)
-        elif self.family == "combination":
-            if self.weights is None:
-                raise ValueError("combination requires weights (C1, C2)")
-            c1, c2 = float(self.weights[0]), float(self.weights[1])
-            if c1 < 0 or c2 < 0 or c1 + c2 <= 0:
-                raise ValueError(f"weights must be nonnegative with C1 + C2 > 0, got ({c1}, {c2})")
-            object.__setattr__(self, "weights", (c1, c2))
             t = 1.0 if self.t is None else float(self.t)
             if not -1.0 <= t <= 1.0:
                 raise ValueError(f"t must lie in [-1, 1], got {t}")
             object.__setattr__(self, "t", t)
         elif self.t is not None:
             raise ValueError(f"{self.family} takes no parameter t")
-        if self.family != "combination" and self.weights is not None:
+        if self.family == "combination":
+            if self.weights is None:
+                raise ValueError("combination requires weights (C1, C2)")
+            c1, c2 = float(self.weights[0]), float(self.weights[1])
+            if c1 < 0 or c2 < 0 or c1 + c2 <= 0:
+                raise ValueError(f"weights must be nonnegative with C1 + C2 > 0, got ({c1}, {c2})")
+            object.__setattr__(self, "weights", (c1, c2))
+        elif self.weights is not None:
             raise ValueError(f"{self.family} takes no weights")
         if self.family == "custom" and self.func is None:
             raise ValueError("custom kernels require func")
 
 
 def brownian_bridge() -> ScalarKernelSpec:
-    """min{x,y} - x*y on (0, 1)."""
+    """min{x,y} - x*y on (0, 1): tfamily(1.0)."""
     return ScalarKernelSpec("brownianbridge")
 
 
@@ -116,11 +123,10 @@ def custom(func, domain: tuple[float, float]) -> ScalarKernelSpec:
     return ScalarKernelSpec("custom", domain=domain, func=func)
 
 
-def _min_t_max(spec: ScalarKernelSpec, x, y) -> np.ndarray:
+def _min_t_max(t: float, x, y) -> np.ndarray:
     """min{x,y} - t*x*y, factored as (1 - t*max{x,y}) * min{x,y}: a
     relative error of a few ulp near x = y = 1 with t = 1, where the
     difference form loses digits, and bitwise symmetric in (x, y)."""
-    t = 1.0 if spec.family == "brownianbridge" else spec.t
     # the factor is complete before min{x,y} is formed, so at most two
     # broadcast-sized arrays are live at once
     return (1.0 - t * np.maximum(x, y)) * np.minimum(x, y)
@@ -130,15 +136,15 @@ def scalar_values(spec: ScalarKernelSpec, x, y) -> np.ndarray:
     """Vectorized kernel evaluation with numpy broadcasting; no domain checks."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spec.family in ("brownianbridge", "tfamily"):
-        return _min_t_max(spec, x, y)
+    if spec.family == "tfamily":
+        return _min_t_max(spec.t, x, y)
     if spec.family == "wendland":
         return np.maximum(1.0 - np.abs(x - y), 0.0)
     if spec.family == "exponential":
         return np.exp(-np.abs(x - y))
     if spec.family == "combination":
         c1, c2 = spec.weights
-        return c1 * _min_t_max(spec, x, y) + c2 * np.maximum(1.0 - np.abs(x - y), 0.0)
+        return c1 * _min_t_max(spec.t, x, y) + c2 * np.maximum(1.0 - np.abs(x - y), 0.0)
     return np.asarray(spec.func(x, y), dtype=float)
 
 
@@ -150,10 +156,9 @@ def scalar_uniform_bound(spec: ScalarKernelSpec) -> float | None:
     """
     if spec.family == "exponential" or spec.family == "wendland":
         return 1.0
-    if spec.family in ("brownianbridge", "tfamily", "combination"):
-        t = 1.0 if spec.family == "brownianbridge" else spec.t
+    if spec.family in ("tfamily", "combination"):
         # max over (0,1) of x - t*x^2
-        diag = 1.0 / (4.0 * t) if t >= 0.5 else 1.0 - t
+        diag = 1.0 / (4.0 * spec.t) if spec.t >= 0.5 else 1.0 - spec.t
         if spec.family == "combination":
             c1, c2 = spec.weights
             return c1 * diag + c2
@@ -192,12 +197,12 @@ def markov_gaps(spec: ScalarKernelSpec, sites) -> MarkovGaps | None:
     """The Markov structure of spec at distinct sites, or None when the
     family has none.
 
-    exponential has p = e^x, q = e^-x; tfamily(t) (and so
-    brownianbridge) has p = x, q = 1 - t*x, positive on (0, 1) for every
-    t in [-1, 1].  Their Gram inverses are tridiagonal.  wendland,
-    combination and custom kernels are not of this form.
+    exponential has p = e^x, q = e^-x; tfamily(t) has p = x, q = 1 - t*x,
+    positive on (0, 1) for every t in [-1, 1].  Their Gram inverses are
+    tridiagonal.  wendland, combination and custom kernels are not of
+    this form.
     """
-    if spec.family not in ("exponential", "tfamily", "brownianbridge"):
+    if spec.family not in ("exponential", "tfamily"):
         return None
     x = np.asarray(sites, dtype=float)
     order = np.argsort(x, kind="stable")
@@ -208,8 +213,7 @@ def markov_gaps(spec: ScalarKernelSpec, sites) -> MarkovGaps | None:
         with np.errstate(over="ignore"):  # det = inf past h ~ 710: a zero precision entry
             det = 2.0 * np.sinh(h)
         return MarkovGaps(order, x, np.ones_like(x), decay, decay, det, -np.expm1(-2.0 * h))
-    t = 1.0 if spec.family == "brownianbridge" else spec.t
-    q = 1.0 - t * x
+    q = 1.0 - spec.t * x
     return MarkovGaps(order, x, x * q, x[:-1] / x[1:], q[1:] / q[:-1],
                       h, h / (x[1:] * q[:-1]))
 
@@ -349,21 +353,6 @@ def eval_scalar(spec: ScalarKernelSpec, x: float, y: float) -> float:
     return float(scalar_values(spec, x, y))
 
 
-def eval_operator(kernel: OperatorKernel, x: float, y: float) -> np.ndarray:
-    """Operator kernel value G(x, y) * A as an n-by-n matrix."""
-    return eval_scalar(kernel.scalar, x, y) * kernel.coupling.A
-
-
-def kernel_vector(kernel: OperatorKernel, centers, x: float):
-    """Scalar vector (G(x, x_i))_i plus the coupling.
-
-    The operator-valued column at x is recovered as each entry times A.
-    """
-    arr = validate_centers(kernel.scalar, centers)
-    require_in_domain(kernel.scalar, x, what="query")
-    return scalar_values(kernel.scalar, float(x), arr), kernel.coupling
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -396,7 +385,7 @@ def kernel_from_dict(data: dict) -> OperatorKernel:
     family = data.get("family")
     if family == "custom":
         raise ValueError("custom kernels cannot be deserialized")
-    if family not in BUILTIN_FAMILIES:
+    if family not in BUILTIN_FAMILIES and family not in FAMILY_ALIASES:
         raise DataFormatError(f"unknown kernel family {family!r}")
     domain = _domain_from_json(data.get("domain", [0.0, 1.0]))
     kwargs = {}
@@ -413,12 +402,6 @@ def kernel_from_dict(data: dict) -> OperatorKernel:
     p = data.get("p", 2)
     p = math.inf if p == "inf" else float(p)
     return OperatorKernel(scalar=spec, coupling=coupling, p=p)
-
-
-def save_kernel(kernel: OperatorKernel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(kernel_to_dict(kernel), fh, indent=2)
-        fh.write("\n")
 
 
 def load_kernel(path) -> OperatorKernel:

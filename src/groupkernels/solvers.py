@@ -96,8 +96,8 @@ class FitModel:
     meta: dict = field(default_factory=dict)
 
 
-def _make_model(kernel, centers, blocks, meta) -> FitModel:
-    coeffs = BlockVector(blocks, kernel.p)
+def _make_model(kernel, centers, blocks, meta, p=None) -> FitModel:
+    coeffs = BlockVector(blocks, kernel.p if p is None else p)
     return FitModel(
         kernel=kernel,
         centers=np.asarray(centers, dtype=float),
@@ -200,14 +200,57 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     return blocks * scale[:, None]
 
 
-def _balance_rho(rho, r, s, u):
-    """Residual balancing: keep primal and dual residuals within 10x of
-    each other by doubling/halving rho (rescaling the scaled dual)."""
-    if r > 10.0 * s and rho < _RHO_MAX:
-        return rho * 2.0, u / 2.0
-    if s > 10.0 * r and rho > _RHO_MIN:
-        return rho / 2.0, u * 2.0
-    return rho, u
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v), bit for bit, of a contiguous array: the square
+    root of the BLAS dot of its flattened entries.  _admm takes four
+    norms per iteration, and on small blocks the argument handling of
+    np.linalg.norm costs as much as the dot."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def _admm(project, proxes, shape, rho, max_iters, tol, what):
+    """Scaled ADMM for a sum of separable terms over an affine set, split
+    as x = z with x confined to the set and block z_i carrying term i:
+
+        x = project(z - u),  z_i = prox_i(x_i + u_i, rho),  u += x - z.
+
+    Stops when the primal residual ||x - z|| and the dual residual
+    rho ||z - z_prev||, each over all blocks, both fall to tol.  Residual
+    balancing (Boyd et al. 2011, sec. 3.4.1) doubles or halves rho, and
+    rescales the scaled dual, whenever one residual exceeds ten times the
+    other, every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE.
+    Returns (x, iterations, primal residual, dual residual, rho).
+    """
+    z = [np.zeros(shape) for _ in proxes]
+    u = [np.zeros(shape) for _ in proxes]
+    r = s = math.inf
+    for it in range(1, max_iters + 1):
+        x = project(*[zi - ui for zi, ui in zip(z, u)])
+        z_new = [prox(xi + ui, rho) for prox, xi, ui in zip(proxes, x, u)]
+        r = math.hypot(*[_norm(xi - zi) for xi, zi in zip(x, z_new)])
+        s = rho * math.hypot(*[_norm(zn - zi) for zn, zi in zip(z_new, z)])
+        for ui, xi, zi in zip(u, x, z_new):
+            ui += xi
+            ui -= zi
+        z = z_new
+        if r <= tol and s <= tol:
+            return x, it, r, s, rho
+        if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
+            if r > 10.0 * s and rho < _RHO_MAX:
+                step = 2.0
+            elif s > 10.0 * r and rho > _RHO_MIN:
+                step = 0.5
+            else:
+                continue
+            rho *= step
+            for ui in u:
+                ui /= step
+    raise NonconvergenceError(
+        f"{what} residuals {r:.3e}/{s:.3e} after {max_iters} iterations",
+        iterations=max_iters,
+        residuals=(r, s),
+    )
 
 
 def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
@@ -216,9 +259,9 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     """Minimize the grouped coefficient norm over expansions supported on
     `centers` subject to interpolating y at `constraints_x`.
 
-    Solved by ADMM: projection onto the affine constraint set alternating
-    with the grouped shrinkage, scaled dual ascent, and residual
-    balancing.  Stops when both residuals fall below 1e-9.
+    Solved by ADMM (_admm): projection onto the affine constraint set
+    alternating with the grouped shrinkage.  Stops when both residuals
+    fall below 1e-9.
     """
     p = kernel.p if p is None else float(p)
     if p not in (1.0, 2.0):
@@ -243,31 +286,10 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         raise RankError("constraint rows are rank deficient")
 
     def project(v):
-        return v - g_c.T @ scipy.linalg.cho_solve(factor, g_c @ v - y_t)
+        return (v - g_c.T @ scipy.linalg.cho_solve(factor, g_c @ v - y_t),)
 
-    z = np.zeros((big_m, n))
-    u = np.zeros_like(z)
-    c = z
-    converged = False
-    r = s = math.inf
-    for it in range(1, max_iters + 1):
-        c = project(z - u)
-        z_new = _shrink(c + u, 1.0 / rho, p)
-        r = float(np.linalg.norm(c - z_new))
-        s = float(rho * np.linalg.norm(z_new - z))
-        u = u + c - z_new
-        z = z_new
-        if r <= PURSUIT_TOL and s <= PURSUIT_TOL:
-            converged = True
-            break
-        if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
-            rho, u = _balance_rho(rho, r, s, u)
-    if not converged:
-        raise NonconvergenceError(
-            f"basis pursuit residuals {r:.3e}/{s:.3e} after {max_iters} iterations",
-            iterations=max_iters,
-            residuals=(r, s),
-        )
+    (c,), it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
+                                (big_m, n), rho, max_iters, PURSUIT_TOL, "basis pursuit")
     meta = {
         "solver": "admm-basis-pursuit",
         "iterations": it,
@@ -276,9 +298,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         "rho": rho,
         "p": p,
     }
-    coeffs = BlockVector(c, p)
-    return FitModel(kernel=kernel, centers=cen, coeffs=coeffs,
-                    norm_lp1=lp1_norm(coeffs), meta=meta)
+    return _make_model(kernel, cen, c, meta, p)
 
 
 def _loss_value(w: np.ndarray, y: np.ndarray, loss: str) -> float:
@@ -353,10 +373,21 @@ def _prox_loss(w, y, rho, loss):
     return y + np.sign(w - y) * np.maximum(np.abs(w - y) - 1.0 / rho, 0.0)
 
 
+def _design(kernel: OperatorKernel, x, y: BlockVector):
+    """Scalar Gram G at the sites and the coupling A of a regularized fit,
+    after checking p and the shape of y."""
+    if kernel.p not in (1.0, 2.0):
+        raise ValueError(f"regularized fitting implemented for p in {{1, 2}}, got {kernel.p}")
+    g, a = gram_assemble(kernel, x).G, kernel.coupling.A
+    if y.m != g.shape[0] or y.n != a.shape[0]:
+        raise ShapeError(f"expected {g.shape[0]} blocks of dimension {a.shape[0]}")
+    return g, a
+
+
 def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig,
              rho: float = 1.0) -> FitModel:
-    """Regularized fit by ADMM on the split (coefficients, fitted values)
-    coupled through the design constraint.
+    """Regularized fit by ADMM (_admm) on the split (coefficients, fitted
+    values) coupled through the design constraint.
 
     The projection onto the constraint set diagonalizes in the joint
     eigenbases of the Gram and the coupling, so each iteration is a pair
@@ -364,12 +395,7 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig,
     losses; it is the solver of record for the absolute loss and the
     cross-check oracle for the squared loss.
     """
-    if kernel.p not in (1.0, 2.0):
-        raise ValueError(f"regularized fitting implemented for p in {{1, 2}}, got {kernel.p}")
-    system = gram_assemble(kernel, x)
-    g, a = system.G, kernel.coupling.A
-    if y.m != g.shape[0] or y.n != a.shape[0]:
-        raise ShapeError(f"expected {g.shape[0]} blocks of dimension {a.shape[0]}")
+    g, a = _design(kernel, x, y)
     y_b = y.blocks
     d_g, q_g = np.linalg.eigh(g)
     e_a, q_a = np.linalg.eigh(a)
@@ -380,53 +406,21 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig,
         c = q_g @ ((q_g.T @ r @ q_a) / denom) @ q_a.T
         return c, g @ c @ a
 
-    z_c = np.zeros_like(y_b)
-    z_w = np.zeros_like(y_b)
-    u_c = np.zeros_like(y_b)
-    u_w = np.zeros_like(y_b)
-    c_c = z_c
-    converged = False
-    r = s = math.inf
-    for it in range(1, cfg.max_iters + 1):
-        c_c, c_w = project(z_c - u_c, z_w - u_w)
-        z_c_new = _shrink(c_c + u_c, cfg.lam / rho, kernel.p)
-        z_w_new = _prox_loss(c_w + u_w, y_b, rho, cfg.loss)
-        r = math.hypot(float(np.linalg.norm(c_c - z_c_new)),
-                       float(np.linalg.norm(c_w - z_w_new)))
-        s = rho * math.hypot(float(np.linalg.norm(z_c_new - z_c)),
-                             float(np.linalg.norm(z_w_new - z_w)))
-        u_c = u_c + c_c - z_c_new
-        u_w = u_w + c_w - z_w_new
-        z_c, z_w = z_c_new, z_w_new
-        if r <= cfg.tol and s <= cfg.tol:
-            converged = True
-            break
-        if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
-            if r > 10.0 * s and rho < _RHO_MAX:
-                rho *= 2.0
-                u_c /= 2.0
-                u_w /= 2.0
-            elif s > 10.0 * r and rho > _RHO_MIN:
-                rho /= 2.0
-                u_c *= 2.0
-                u_w *= 2.0
-    if not converged:
-        raise NonconvergenceError(
-            f"admm residuals {r:.3e}/{s:.3e} after {cfg.max_iters} iterations",
-            iterations=cfg.max_iters,
-            residuals=(r, s),
-        )
+    proxes = [lambda v, rho: _shrink(v, cfg.lam / rho, kernel.p),
+              lambda v, rho: _prox_loss(v, y_b, rho, cfg.loss)]
+    (c, _), it, r, s, rho = _admm(project, proxes, y_b.shape, rho, cfg.max_iters, cfg.tol,
+                                  "admm")
     meta = {
         "solver": "admm-regularized",
         "loss": cfg.loss,
         "lam": cfg.lam,
         "iterations": it,
-        "objective": _objective(g, a, c_c, y_b, cfg.lam, kernel.p, cfg.loss),
+        "objective": _objective(g, a, c, y_b, cfg.lam, kernel.p, cfg.loss),
         "primal_residual": r,
         "dual_residual": s,
         "rho": rho,
     }
-    return _make_model(kernel, x, c_c, meta)
+    return _make_model(kernel, x, c, meta)
 
 
 def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
@@ -439,12 +433,7 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
     """
     if cfg.loss == "absolute":
         return fit_admm(kernel, x, y, cfg)
-    if kernel.p not in (1.0, 2.0):
-        raise ValueError(f"regularized fitting implemented for p in {{1, 2}}, got {kernel.p}")
-    system = gram_assemble(kernel, x)
-    g, a = system.G, kernel.coupling.A
-    if y.m != g.shape[0] or y.n != a.shape[0]:
-        raise ShapeError(f"expected {g.shape[0]} blocks of dimension {a.shape[0]}")
+    g, a = _design(kernel, x, y)
     c, trace, iters, change = _fista(g, a, y.blocks, cfg.lam, kernel.p,
                                      cfg.max_iters, cfg.tol, cfg.restart)
     meta = {
@@ -535,24 +524,33 @@ def model_from_dict(data: dict) -> FitModel:
         raise DataFormatError("model centers must be pairwise distinct")
     if not np.all(np.isfinite(blocks)):
         raise DataFormatError("model coefficients must be finite")
-    coeffs = BlockVector(blocks, p)
-    norm = lp1_norm(coeffs)
-    stored = float(data.get("norm_lp1", norm))
-    if abs(stored - norm) > 1e-12 * max(1.0, norm):
+    model = _make_model(kernel, centers, blocks, dict(data.get("meta", {})), p)
+    norm = model.norm_lp1
+    if abs(float(data.get("norm_lp1", norm)) - norm) > 1e-12 * max(1.0, norm):
         raise DataFormatError("stored norm_lp1 disagrees with stored coefficients")
-    return FitModel(
-        kernel=kernel,
-        centers=centers,
-        coeffs=coeffs,
-        norm_lp1=norm,
-        meta=dict(data.get("meta", {})),
-    )
+    return model
 
 
-def read_training_csv(path):
+def _require_x_in_domain(path, x: np.ndarray, linenos, domain) -> None:
+    """With an open interval domain=(lo, hi), reject the first x outside
+    it, naming its row, the column x and the value."""
+    if domain is None:
+        return
+    lo, hi = domain
+    outside = np.flatnonzero((x <= lo) | (x >= hi))
+    if outside.size:
+        i = outside[0]
+        raise DataFormatError(
+            f"{path}: row {linenos[i]}, column x: value {float(x[i])!r} outside "
+            f"open domain ({lo}, {hi})"
+        )
+
+
+def read_training_csv(path, domain=None):
     """Training data with header x,y1,...,yn; returns (x, Y) arrays.
 
-    Malformed content fails before any solver runs, naming row and column.
+    Malformed content fails before any solver runs, naming row and column;
+    with domain=(lo, hi), so does an x outside that open interval.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -586,6 +584,7 @@ def read_training_csv(path):
         raise DataFormatError(f"{path}: no data rows")
     x, y = np.asarray(xs), np.asarray(ys)
     require_finite(path, np.column_stack([x, y]), linenos, header)
+    _require_x_in_domain(path, x, linenos, domain)
     return x, y
 
 
@@ -613,13 +612,5 @@ def read_points_csv(path, domain=None) -> np.ndarray:
         raise DataFormatError(f"{path}: no data rows")
     pts = np.asarray(pts)
     require_finite(path, pts[:, None], linenos, ["x"])
-    if domain is not None:
-        lo, hi = domain
-        outside = np.flatnonzero((pts <= lo) | (pts >= hi))
-        if outside.size:
-            i = outside[0]
-            raise DataFormatError(
-                f"{path}: row {linenos[i]}, column x: value {float(pts[i])!r} outside "
-                f"open domain ({lo}, {hi})"
-            )
+    _require_x_in_domain(path, pts, linenos, domain)
     return pts

@@ -32,6 +32,16 @@ def dense_solve_blocks(system, y_blocks):
     return sol.reshape(y_blocks.shape)
 
 
+def matrix_opnorm(A, p):
+    """Induced p -> p operator norm for p in {1, 2, inf}: max column abs
+    sum, spectral norm, max row abs sum."""
+    if p == 1:
+        return float(np.abs(A).sum(axis=0).max())
+    if p == 2:
+        return float(np.linalg.norm(A, 2))
+    return float(np.abs(A).sum(axis=1).max())
+
+
 def column_norm_sampled(blocks, p, rng, trials=200):
     """Sampled sup over unit c of sum_i ||blocks[i] @ c||_p for an
     (m, n, n) stack of column blocks."""

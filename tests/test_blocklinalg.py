@@ -15,13 +15,16 @@ from groupkernels.blocklinalg import (
     gram_assemble,
     gram_solve,
     lp1_norm,
-    matrix_opnorm,
-    operator_lp1_norm_product,
-    operator_lp1_norm_sampled,
 )
 from groupkernels.errors import DuplicateCenterError, ShapeError, SingularError
 
-from helpers import dense_solve_blocks, random_coupling, random_spd
+from helpers import (
+    column_norm_sampled,
+    dense_solve_blocks,
+    matrix_opnorm,
+    random_coupling,
+    random_spd,
+)
 
 finite_blocks = arrays(
     float, st.tuples(st.integers(0, 5), st.integers(1, 4)),
@@ -49,11 +52,8 @@ def test_lp1_is_a_norm(blocks, p):
     assert lhs <= v + lp1_norm(d) + 1e-9 * (1.0 + v)
 
 
-def test_matrix_opnorms():
+def test_coupling_opnorm_endpoints():
     A = np.array([[1.0, -2.0], [3.0, 0.5]])
-    assert matrix_opnorm(A, 1) == 4.0          # max column abs sum
-    assert matrix_opnorm(A, math.inf) == 3.5   # max row abs sum
-    assert matrix_opnorm(A, 2) == pytest.approx(np.linalg.norm(A, 2))
     assert coupling_opnorm(A, 1) == 3.0        # max |a_ij|
     # p=inf -> q=1 by sign enumeration
     best = max(np.abs(A @ np.array(s)).sum()
@@ -191,24 +191,20 @@ def test_block_inverse_errors():
         block_inverse_2x2([[1.0]], [[1.0]], [[1.0]], [[1.0 - 1e-16]])
 
 
-def test_operator_lp1_norm_product_examples():
-    assert operator_lp1_norm_product([1.0, 0.0, 0.0]) == 1.0
-    assert operator_lp1_norm_product([0.5, -0.25]) == 0.75
-    assert operator_lp1_norm_product(np.zeros(4)) == 0.0
-
-
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
 def test_operator_lp1_norm_product_vs_sampled(p):
     # after cancelling the coupling, the column blocks are b_i * I: every
-    # sampled unit vector attains the exact value sum |b_i|
+    # sampled unit vector attains the exact value sum |b_i|, which is the
+    # l^{p,1} norm of b read as m blocks of length one
     rng = np.random.default_rng(17)
     for _ in range(20):
         m = int(rng.integers(1, 6))
         n = int(rng.integers(1, 4))
         b = rng.standard_normal(m)
         blocks = np.stack([bi * np.eye(n) for bi in b])
-        exact = operator_lp1_norm_product(b)
-        sampled = operator_lp1_norm_sampled(blocks, p, trials=1000, seed=3)
+        exact = lp1_norm(BlockVector(b[:, None], p=p))
+        assert exact == pytest.approx(float(np.abs(b).sum()), rel=1e-15, abs=0.0)
+        sampled = column_norm_sampled(blocks, p, np.random.default_rng(3), trials=1000)
         assert sampled <= exact + 1e-9
         assert sampled >= exact - 1e-9
 

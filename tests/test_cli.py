@@ -199,7 +199,15 @@ def test_malformed_csv_fails_before_solving(tmp_path, capsys):
     ("predict", "points", "x\n0.3\ninf\n", "row 3, column x: non-finite value"),
     ("predict", "points", "x\n0.3\n\n5.0\n",
      "row 4, column x: value 5.0 outside open domain (0.0, 1.0)"),
-], ids=["training nan y", "training -inf x", "coupling inf", "points inf", "points out of domain"])
+    ("interpolate", "data", "x,y1\n0.2,1.0\n5.0,0.5\n",
+     "row 3, column x: value 5.0 outside open domain (0.0, 1.0)"),
+    ("fit", "data", "x,y1\n0.2,1.0\n\n5.0,0.5\n",
+     "row 4, column x: value 5.0 outside open domain (0.0, 1.0)"),
+    ("pursuit", "data", "x,y1\n5.0,1.0\n0.2,0.5\n",
+     "row 2, column x: value 5.0 outside open domain (0.0, 1.0)"),
+], ids=["training nan y", "training -inf x", "coupling inf", "points inf", "points out of domain",
+        "training x out of domain (interpolate)", "training x out of domain (fit)",
+        "training x out of domain (pursuit)"])
 def test_non_finite_values_rejected_at_read(tmp_path, capsys, command, bad_file, text, where):
     files = {"data": "x,y1,y2\n0.2,1.0,0.0\n0.7,0.5,1.0\n",
              "coupling": "2.0,0.5\n0.5,1.0\n", "points": "x\n0.3\n0.6\n"}
@@ -299,6 +307,12 @@ def test_math_failure_exit_code(tmp_path, capsys):
               "--max-iters", "2", "--out", str(tmp_path / "m2.json")])
     assert rc == 2
     assert "NonconvergenceError" in capsys.readouterr().err
+    rc = run(["fit", "--data", str(train2), "--kernel", "tfamily", "--t", "1.0",
+              "--p", "2", "--coupling", "identity:1", "--loss", "absolute", "--lambda", "0.1",
+              "--max-iters", "2", "--out", str(tmp_path / "m3.json")])
+    assert rc == 2
+    assert "NonconvergenceError: admm residuals" in capsys.readouterr().err
+    assert not (tmp_path / "m3.json").exists()
 
 
 def test_kernel_json_flag(tmp_path, train_csv):
@@ -322,6 +336,40 @@ def test_coupling_csv_flag(tmp_path):
               "--p", "2", "--coupling", str(cpath), "--out", out])
     assert rc == 0
     assert json.load(open(out))["kernel"]["coupling"]["A"] == [[2.0, 0.5], [0.5, 1.0]]
+
+
+def test_brownianbridge_writes_the_tfamily_t1_model(tmp_path):
+    train = tmp_path / "train.csv"
+    train.write_text("x,y1,y2\n0.2,1.0,0.0\n0.55,0.3,-0.2\n0.9,0.5,1.0\n")
+    written = []
+    for flags in (["--kernel", "brownianbridge"], ["--kernel", "tfamily", "--t", "1"]):
+        out = tmp_path / f"{flags[1]}.json"
+        assert run(["interpolate", "--data", str(train), *flags, "--p", "2",
+                    "--coupling", "identity:2", "--deterministic", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+def test_brownianbridge_model_json_still_predicts(tmp_path):
+    # a model saved before brownianbridge became an alias names the family
+    # and carries no t
+    train, pts = tmp_path / "train.csv", tmp_path / "pts.csv"
+    train.write_text("x,y1\n0.2,1.0\n0.55,0.3\n0.9,0.5\n")
+    pts.write_text("x\n0.1\n0.4\n0.95\n")
+    model = tmp_path / "model.json"
+    assert run(["interpolate", "--data", str(train), "--kernel", "tfamily", "--t", "1",
+                "--p", "2", "--coupling", "identity:1", "--out", str(model)]) == 0
+    data = json.loads(model.read_text())
+    old = dict(data, kernel={"family": "brownianbridge",
+                             **{k: v for k, v in data["kernel"].items() if k not in ("family", "t")}})
+    old_model = tmp_path / "old.json"
+    old_model.write_text(json.dumps(old))
+    predictions = []
+    for path in (model, old_model):
+        out = tmp_path / f"{path.stem}.csv"
+        assert run(["predict", "--model", str(path), "--points", str(pts), "--out", str(out)]) == 0
+        predictions.append(out.read_bytes())
+    assert predictions[0] == predictions[1]
 
 
 def test_help_exits_zero(capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import groupkernels as gk
 from groupkernels.blocklinalg import coupling_opnorm
-from groupkernels.errors import DataFormatError, DomainError, DuplicateCenterError
+from groupkernels.errors import DataFormatError, DomainError
 from groupkernels.kernels import scalar_uniform_bound, scalar_values
 
 unit_interior = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
@@ -132,34 +132,18 @@ def test_coupling_inverse_accuracy_contract():
         gk.TaskCoupling.from_matrix(hopeless)
 
 
-def test_eval_operator():
-    A = np.array([[2.0, 0.5], [0.5, 1.0]])
-    K = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.from_matrix(A), p=2)
-    np.testing.assert_allclose(gk.eval_operator(K, 0.25, 0.5), 0.125 * A, atol=0)
-    K_id = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.identity(2), p=2)
-    np.testing.assert_array_equal(gk.eval_operator(K_id, 0.25, 0.5), np.diag([0.125, 0.125]))
-    # a scalar zero annihilates the whole coupling
-    zero_at_half = gk.custom(lambda x, y: (x - 0.5) * (y - 0.5), domain=(0.0, 1.0))
-    Kz = gk.OperatorKernel(zero_at_half, gk.TaskCoupling.from_matrix(A), p=2)
-    np.testing.assert_array_equal(gk.eval_operator(Kz, 0.5, 0.25), np.zeros((2, 2)))
-
-
-def test_kernel_vector():
-    K = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.identity(2), p=2)
-    vals, coupling = gk.kernel_vector(K, [0.5], 0.25)
-    np.testing.assert_array_equal(vals, [0.125])
-    assert coupling is K.coupling
-    vals, _ = gk.kernel_vector(K, [0.2, 0.5], 0.5)
-    np.testing.assert_array_equal(vals, [gk.eval_scalar(K.scalar, 0.5, 0.2), 0.25])
-    # a query annihilated by the kernel gives the zero vector
-    node = gk.custom(lambda x, y: (x - 0.5) * (y - 0.5), domain=(0.0, 1.0))
-    Kn = gk.OperatorKernel(node, gk.TaskCoupling.identity(1), p=2)
-    vals, _ = gk.kernel_vector(Kn, [0.2, 0.8], 0.5)
-    np.testing.assert_array_equal(vals, [0.0, 0.0])
-    with pytest.raises(DuplicateCenterError):
-        gk.kernel_vector(K, [0.5, 0.5], 0.25)
-    with pytest.raises(DomainError):
-        gk.kernel_vector(K, [0.5], 1.5)
+def test_brownianbridge_parses_to_tfamily_t1():
+    assert gk.brownian_bridge() == gk.tfamily(1.0)
+    assert (gk.ScalarKernelSpec("brownianbridge", domain=(0.2, 0.9))
+            == gk.ScalarKernelSpec("tfamily", t=1.0, domain=(0.2, 0.9)))
+    with pytest.raises(ValueError, match="brownianbridge takes no parameter t"):
+        gk.ScalarKernelSpec("brownianbridge", t=0.5)
+    data = gk.kernel_to_dict(gk.OperatorKernel(gk.brownian_bridge(), gk.TaskCoupling.identity(1)))
+    assert data["family"] == "tfamily" and data["t"] == 1.0
+    # JSON written before the alias names the family and carries no t
+    del data["t"]
+    data["family"] = "brownianbridge"
+    assert gk.kernel_from_dict(data).scalar == gk.tfamily(1.0)
 
 
 def test_kernel_json_round_trip():

@@ -447,6 +447,13 @@ def test_fit_nonconvergence_raises():
     with pytest.raises(NonconvergenceError):
         fit_regularized(K, [0.2, 0.5, 0.8], y,
                         LearnConfig(lam=1e-4, tol=1e-16, max_iters=3))
+    # an exhausted ADMM budget: the error carries it and both residuals
+    with pytest.raises(NonconvergenceError) as exc:
+        fit_admm(K, [0.2, 0.5, 0.8], y, LearnConfig(lam=0.1, loss="absolute", max_iters=3))
+    assert exc.value.iterations == 3
+    r, s = exc.value.residuals
+    assert np.isfinite(r) and np.isfinite(s) and max(r, s) > 0
+    assert str(exc.value).startswith("admm residuals")
 
 
 # ---------------------------------------------------------------------------
