@@ -223,12 +223,13 @@ def _breakpoint_sup(kernel: OperatorKernel, system: GramSystem, centers: np.ndar
     and at a center b = e_i, so Lambda = 1 exactly.  Hence
     sup_q Lambda = max(1, Lambda(lo+), Lambda(hi-)).  b extends
     continuously to the domain endpoints, so the two one-sided limits are
-    evaluated at the nearest floats inside the domain, in one two-column
-    solve.  The witness is that float, or the first center when neither
-    limit exceeds 1, and lebesgue_at reproduces the reported value.
+    evaluated at the nearest floats inside the domain.  The witness is
+    that float, or the first center when neither limit exceeds 1, and
+    lebesgue_at reproduces the reported value: like it, each end gets a
+    one-column solve (LAPACK may round a two-column solve differently).
     """
     ends = _inward_endpoints(kernel)
-    vals = _stability_values(system, kernel, centers, ends)
+    vals = [_stability_values(system, kernel, centers, np.array([q]))[0] for q in ends]
     k = int(np.argmax(vals))
     if vals[k] > 1.0:
         return float(vals[k]), float(ends[k])
@@ -272,7 +273,7 @@ def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig,
 
     A singular Gram raises SingularError with the offending centers
     attached or, when a `singular` list is given, is appended to it and
-    skipped.  on_gram, if given, sees every factorized GramSystem.
+    skipped.  on_gram, if given, sees every assembled GramSystem.
     """
     method, set_sup = _per_set_sup(kernel, cfg)
     worst, worst_c, worst_q = -math.inf, None, None

@@ -11,12 +11,10 @@ application of ``A^{-1}``.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
+from itertools import accumulate, product
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ShapeError, SingularError
 from .kernels import (
@@ -28,16 +26,18 @@ from .kernels import (
     validate_centers,
 )
 
-# relative pivot threshold below which a factorization counts as singular
+# relative singular-value threshold below which a matrix counts as singular
 PIVOT_RTOL = 1e-12
 
 
-def _lu_factor_quiet(A):
-    # LAPACK flags exact zero pivots with a warning; the caller's pivot
-    # threshold decides singularity, so silence it here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(A)
+def _require_nonsingular(A: np.ndarray, scale: float, what: str) -> None:
+    """The one singularity rule: SingularError unless 0 < scale < inf and the
+    smallest singular value of A (its 2-norm distance to the nearest
+    singular matrix) is at least PIVOT_RTOL * scale.  scale is the size of
+    the terms A was formed from, so cancellation in forming A counts."""
+    if not (0.0 < scale < math.inf
+            and np.linalg.svd(A, compute_uv=False).min() >= PIVOT_RTOL * scale):
+        raise SingularError(f"{what} is numerically singular")
 
 
 @dataclass(frozen=True)
@@ -142,54 +142,38 @@ def coupling_opnorm(A: np.ndarray, p: float) -> float:
 
 @dataclass(frozen=True)
 class GramSystem:
-    """Scalar Gram G[i, j] = G(x_i, x_j) with an eager factorization.
+    """Scalar Gram G[i, j] = G(x_i, x_j) of the operator Gram K[x] = G (x) A.
 
-    Represents the operator Gram K[x] = G (x) A.  The factorization is a
-    Cholesky factor when G is numerically SPD, otherwise a pivoted LU.
-    """
+    kind is "cholesky" when G is numerically SPD, else "lu" (G passed
+    _require_nonsingular); every solve is an LU solve (LAPACK gesv)."""
 
     G: np.ndarray
     coupling: TaskCoupling
-    kind: str = field(default="cholesky")
-    factor: tuple = field(default=(), compare=False, repr=False)
+    kind: str
 
     @property
     def m(self) -> int:
         return self.G.shape[0]
 
 
-def _factorize(G: np.ndarray):
-    """Cholesky first, pivoted LU as fallback; SingularError on tiny pivots."""
-    scale = np.abs(G).max() if G.size else 0.0
-    if scale == 0.0:
-        raise SingularError("Gram matrix is identically zero")
-    try:
-        c, low = scipy.linalg.cho_factor(G, lower=True)
-        return "cholesky", (c, low)
-    except scipy.linalg.LinAlgError:
-        pass
-    lu, piv = _lu_factor_quiet(G)
-    if np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
-        raise SingularError("Gram matrix is numerically singular")
-    return "lu", (lu, piv)
-
-
 def solve_factored(system: GramSystem, rhs: np.ndarray) -> np.ndarray:
-    """Solve G @ Z = rhs using the cached factorization."""
-    if system.kind == "cholesky":
-        return scipy.linalg.cho_solve(system.factor, rhs)
-    return scipy.linalg.lu_solve(system.factor, rhs)
+    """Solve G @ Z = rhs."""
+    return np.linalg.solve(system.G, rhs)
 
 
 def gram_assemble(kernel: OperatorKernel, centers) -> GramSystem:
-    """Assemble and factorize the scalar Gram for pairwise-distinct centers."""
+    """Assemble the scalar Gram for pairwise-distinct centers; "cholesky"
+    when numerically SPD, else "lu" after the singularity rule."""
     arr = validate_centers(kernel.scalar, centers)
-    if arr.size == 0:
-        raise ShapeError("at least one center is required")
     G = scalar_values(kernel.scalar, arr[:, None], arr[None, :])
     G.setflags(write=False)
-    kind, factor = _factorize(G)
-    return GramSystem(G=G, coupling=kernel.coupling, kind=kind, factor=factor)
+    try:  # numpy returns a nan factor, without raising, for a nan G
+        kind = "cholesky" if np.isfinite(np.linalg.cholesky(G)).all() else "lu"
+    except np.linalg.LinAlgError:
+        kind = "lu"
+    if kind == "lu":
+        _require_nonsingular(G, float(np.abs(G).max()), "Gram matrix")
+    return GramSystem(G=G, coupling=kernel.coupling, kind=kind)
 
 
 def _check_blocks(system: GramSystem, y: BlockVector) -> None:
@@ -214,18 +198,6 @@ def gram_apply(system: GramSystem, c: BlockVector) -> BlockVector:
     """Apply the operator Gram: block i of the result is sum_j G_ij A c_j."""
     _check_blocks(system, c)
     return BlockVector((system.G @ c.blocks) @ system.coupling.A, c.p)
-
-
-def gram_cond(system: GramSystem) -> float:
-    """LAPACK estimate of the 1-norm condition number of the scalar Gram,
-    from the cached factorization in O(m^2)."""
-    anorm = float(np.abs(system.G).sum(axis=0).max())
-    if system.kind == "cholesky":
-        c, low = system.factor
-        rcond, _ = scipy.linalg.lapack.dpocon(c, anorm, uplo="L" if low else "U")
-    else:
-        rcond, _ = scipy.linalg.lapack.dgecon(system.factor[0], anorm, norm="1")
-    return math.inf if rcond == 0.0 else 1.0 / rcond
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +233,12 @@ def markov_solve(gaps: MarkovGaps, rhs: np.ndarray) -> np.ndarray:
 
 
 def _sweep(ratio: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """out_0 = d_0, out_k = ratio_{k-1} out_{k-1} + d_k: forward
-    substitution with a unit lower bidiagonal matrix (LAPACK dtbtrs)."""
-    band = np.zeros((2, d.shape[0]))
-    band[1, :-1] = -ratio
-    out, _ = scipy.linalg.lapack.dtbtrs(band, d, uplo="L", diag="U")
+    """out_0 = d_0, out_k = ratio_{k-1} out_{k-1} + d_k, per column: forward
+    substitution with a unit lower bidiagonal matrix."""
+    out = np.empty_like(d)
+    for j in range(d.shape[1]):
+        r = iter(ratio.tolist())
+        out[:, j] = list(accumulate(d[:, j].tolist(), lambda acc, dk: next(r) * acc + dk))
     return out
 
 
@@ -303,17 +276,6 @@ def markov_cond(spec: ScalarKernelSpec, gaps: MarkovGaps) -> float:
     return g_norm * float(cols.max())
 
 
-def _solve_block(A: np.ndarray, rhs: np.ndarray, scale: float | None = None) -> np.ndarray:
-    # `scale` lets the caller pass the magnitude of the quantities a block
-    # was computed from, so catastrophic cancellation counts as singular
-    if scale is None:
-        scale = float(np.abs(A).max())
-    lu, piv = _lu_factor_quiet(A)
-    if scale == 0.0 or np.abs(np.diag(lu)).min() < PIVOT_RTOL * scale:
-        raise SingularError("block is numerically singular")
-    return scipy.linalg.lu_solve((lu, piv), rhs)
-
-
 def block_inverse_2x2(A, B, C, D):
     """Invert [[A, B], [C, D]] blockwise via the Schur complement of A.
 
@@ -330,13 +292,14 @@ def block_inverse_2x2(A, B, C, D):
         raise ShapeError(
             f"incompatible block shapes {A.shape}, {B.shape}, {C.shape}, {D.shape}"
         )
-    eye_k = np.eye(k)
-    A_inv = _solve_block(A, eye_k)
+    _require_nonsingular(A, float(np.abs(A).max()), "block")
+    A_inv = np.linalg.solve(A, np.eye(k))
     A_inv_B = A_inv @ B
     C_A_inv = C @ A_inv
     CAB = C @ A_inv_B
-    schur_scale = max(float(np.abs(D).max()), float(np.abs(CAB).max()))
-    M = _solve_block(D - CAB, np.eye(l), scale=schur_scale)
+    schur = D - CAB
+    _require_nonsingular(schur, max(float(np.abs(D).max()), float(np.abs(CAB).max())), "block")
+    M = np.linalg.solve(schur, np.eye(l))
     tl = A_inv + A_inv_B @ M @ C_A_inv
     tr = -A_inv_B @ M
     bl = -M @ C_A_inv

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataFormatError, DomainError, DuplicateCenterError
+from .errors import DataFormatError, DomainError, DuplicateCenterError, ShapeError
 
 BUILTIN_FAMILIES = ("tfamily", "wendland", "exponential", "combination")
 
@@ -77,6 +77,8 @@ class ScalarKernelSpec:
         if self.family == "combination":
             if self.weights is None:
                 raise ValueError("combination requires weights (C1, C2)")
+            if len(self.weights) != 2:
+                raise ValueError(f"weights must be a pair (C1, C2), got {self.weights}")
             c1, c2 = float(self.weights[0]), float(self.weights[1])
             if c1 < 0 or c2 < 0 or c1 + c2 <= 0:
                 raise ValueError(f"weights must be nonnegative with C1 + C2 > 0, got ({c1}, {c2})")
@@ -242,9 +244,11 @@ def require_finite(source, table: np.ndarray, rows, columns) -> None:
 
 
 def validate_centers(spec: ScalarKernelSpec, centers) -> np.ndarray:
-    """Check centers are in-domain and pairwise distinct; returns an array."""
+    """Check centers are nonempty, in-domain and pairwise distinct; returns an array."""
     arr = require_in_domain(spec, centers, what="center")
     arr = np.atleast_1d(arr)
+    if arr.size == 0:
+        raise ShapeError("at least one center is required")
     if np.unique(arr).size != arr.size:
         raise DuplicateCenterError("centers must be pairwise distinct")
     return arr
@@ -357,14 +361,44 @@ def eval_scalar(spec: ScalarKernelSpec, x: float, y: float) -> float:
 # serialization
 # ---------------------------------------------------------------------------
 
+def json_field(data, path: str, read, source: str, default=None):
+    """read(value) of the parsed-JSON field at a dotted path like "coupling.A",
+    or default if it is missing and not None.  A missing field, a non-object
+    on the path, or a TypeError or ValueError of read names the field."""
+    value = data
+    for key in path.split("."):
+        if not isinstance(value, dict):
+            raise DataFormatError(f"{source}: no object holds field {path!r}: {value!r:.40}")
+        if key not in value:
+            if default is None:
+                raise DataFormatError(f"{source}: missing field {path!r}")
+            return default
+        value = value[key]
+    try:
+        return read(value)
+    except (TypeError, ValueError):
+        raise DataFormatError(f"{source}: field {path!r} is malformed: {value!r:.40}") from None
+
+
+def json_number(value) -> float:
+    """A JSON number, or "inf", the writers' spelling of p = inf."""
+    if isinstance(value, bool) or (isinstance(value, str) and value != "inf"):
+        raise TypeError("not a number")
+    return float(value)
+
+
+def json_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
 def _domain_to_json(domain):
     return [None if math.isinf(v) else v for v in domain]
 
 
 def _domain_from_json(value):
-    lo = -math.inf if value[0] is None else float(value[0])
-    hi = math.inf if value[1] is None else float(value[1])
-    return (lo, hi)
+    lo, hi = value
+    return (-math.inf if lo is None else json_number(lo),
+            math.inf if hi is None else json_number(hi))
 
 
 def kernel_to_dict(kernel: OperatorKernel) -> dict:
@@ -382,25 +416,25 @@ def kernel_to_dict(kernel: OperatorKernel) -> dict:
 
 
 def kernel_from_dict(data: dict) -> OperatorKernel:
-    family = data.get("family")
+    """Rebuild a kernel from kernel_to_dict output.  Malformed input raises
+    DataFormatError naming the first missing or mistyped field."""
+    src = "kernel JSON"
+    family = json_field(data, "family", str, src)
     if family == "custom":
         raise ValueError("custom kernels cannot be deserialized")
     if family not in BUILTIN_FAMILIES and family not in FAMILY_ALIASES:
         raise DataFormatError(f"unknown kernel family {family!r}")
-    domain = _domain_from_json(data.get("domain", [0.0, 1.0]))
-    kwargs = {}
+    kwargs = {"domain": json_field(data, "domain", _domain_from_json, src, (0.0, 1.0))}
     if family == "tfamily":
-        kwargs["t"] = float(data["t"])
+        kwargs["t"] = json_field(data, "t", json_number, src)
     if family == "combination":
-        kwargs["t"] = float(data.get("t", 1.0))
-        kwargs["weights"] = tuple(float(v) for v in data["weights"])
-    spec = ScalarKernelSpec(family, domain=domain, **kwargs)
-    cdata = data["coupling"]
-    coupling = TaskCoupling.from_matrix(cdata["A"])
-    if coupling.n != int(cdata.get("n", coupling.n)):
+        kwargs["t"] = json_field(data, "t", json_number, src, 1.0)
+        kwargs["weights"] = json_field(data, "weights", lambda v: tuple(map(json_number, v)), src)
+    spec = ScalarKernelSpec(family, **kwargs)
+    coupling = TaskCoupling.from_matrix(json_field(data, "coupling.A", json_array, src))
+    if coupling.n != json_field(data, "coupling.n", json_number, src, coupling.n):
         raise DataFormatError("coupling n does not match matrix shape")
-    p = data.get("p", 2)
-    p = math.inf if p == "inf" else float(p)
+    p = json_field(data, "p", json_number, src, 2.0)
     return OperatorKernel(scalar=spec, coupling=coupling, p=p)
 
 

@@ -15,14 +15,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .blocklinalg import (
     BlockVector,
     block_norms,
     gram_apply,
     gram_assemble,
-    gram_cond,
     gram_solve,
     lp1_norm,
     markov_cond,
@@ -39,6 +37,9 @@ from .errors import (
 from .gridsearch import refine_max, vdc_points
 from .kernels import (
     OperatorKernel,
+    json_array,
+    json_field,
+    json_number,
     kernel_from_dict,
     kernel_to_dict,
     markov_gaps,
@@ -112,7 +113,7 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
 
     Markov kernels (markov_gaps: exponential, tfamily, brownianbridge)
     use the closed-form tridiagonal precision in O(m n); the others
-    factorize the dense Gram.  Either way the fit is checked: a relative
+    solve with the dense Gram.  Either way the fit is checked: a relative
     residual max|G C A - Y| / max(1, max|Y|) above INTERP_RESIDUAL_RTOL,
     or a 1-norm condition number of G above INTERP_COND_MAX, raises
     SingularError.  When the kernel passes the stability certification
@@ -121,8 +122,6 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
     """
     spec, coupling = kernel.scalar, kernel.coupling
     x = validate_centers(spec, x)
-    if x.size == 0:
-        raise ShapeError("at least one center is required")
     if y.m != x.size or y.n != coupling.n:
         raise ShapeError(f"expected {x.size} blocks of dimension {coupling.n}, got {y.m} of {y.n}")
     gaps = markov_gaps(spec, x)
@@ -130,7 +129,7 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
         system = gram_assemble(kernel, x)
         coeffs = gram_solve(system, BlockVector(y.blocks, kernel.p)).blocks
         fitted = gram_apply(system, BlockVector(coeffs, kernel.p)).blocks
-        cond, solver = gram_cond(system), "exact-gram"
+        cond, solver = float(np.linalg.cond(system.G, 1)), "exact-gram"
     else:
         coeffs = np.empty_like(y.blocks)
         coeffs[gaps.order] = markov_solve(gaps, y.blocks[gaps.order]) @ coupling.A_inv
@@ -277,16 +276,16 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
 
     g_c = scalar_values(spec, cons[:, None], cen[None, :])  # (m, M)
     y_t = y.blocks @ kernel.coupling.A_inv
-    s_mat = g_c @ g_c.T
-    try:
-        factor = scipy.linalg.cho_factor(s_mat, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise RankError("constraint rows are rank deficient") from None
-    if np.abs(np.diag(factor[0])).min() ** 2 < 1e-12 * np.abs(s_mat).max():
+    # g_c^T = Q R gives g_c g_c^T = R^T R, so the projection onto g_c v = y_t
+    # is v - Q (Q^T v - R^{-T} y_t); max|g_c g_c^T| is its largest diagonal
+    # entry, the largest squared row norm of g_c
+    q_mat, r_mat = np.linalg.qr(g_c.T)
+    if np.abs(np.diag(r_mat)).min() ** 2 < 1e-12 * float((g_c * g_c).sum(axis=1).max()):
         raise RankError("constraint rows are rank deficient")
+    w = np.linalg.solve(r_mat.T, y_t)
 
     def project(v):
-        return (v - g_c.T @ scipy.linalg.cho_solve(factor, g_c @ v - y_t),)
+        return (v - q_mat @ (q_mat.T @ v - w),)
 
     (c,), it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
                                 (big_m, n), rho, max_iters, PURSUIT_TOL, "basis pursuit")
@@ -375,10 +374,11 @@ def _prox_loss(w, y, rho, loss):
 
 def _design(kernel: OperatorKernel, x, y: BlockVector):
     """Scalar Gram G at the sites and the coupling A of a regularized fit,
-    after checking p and the shape of y."""
+    after checking p, the sites and the shape of y (no fit solves with G)."""
     if kernel.p not in (1.0, 2.0):
         raise ValueError(f"regularized fitting implemented for p in {{1, 2}}, got {kernel.p}")
-    g, a = gram_assemble(kernel, x).G, kernel.coupling.A
+    x = validate_centers(kernel.scalar, x)
+    g, a = scalar_values(kernel.scalar, x[:, None], x[None, :]), kernel.coupling.A
     if y.m != g.shape[0] or y.n != a.shape[0]:
         raise ShapeError(f"expected {g.shape[0]} blocks of dimension {a.shape[0]}")
     return g, a
@@ -497,14 +497,14 @@ def model_to_dict(model: FitModel) -> dict:
 
 
 def model_from_dict(data: dict) -> FitModel:
-    """Rebuild a persisted model, rejecting coefficients whose shape is not
-    (centers, coupling dimension), non-finite coefficients, and centers
-    that are non-finite, outside the open domain or repeated."""
-    kernel = kernel_from_dict(data["kernel"])
-    p = data.get("p", kernel.p)
-    p = math.inf if p == "inf" else float(p)
-    centers = np.asarray(data["centers"], dtype=float)
-    blocks = np.array(data["coeffs"], dtype=float)
+    """Rebuild a persisted model, rejecting a missing or mistyped field,
+    coefficients not of shape (centers, coupling dimension) or non-finite,
+    and centers that are non-finite, outside the open domain or repeated."""
+    src = "model JSON"
+    kernel = kernel_from_dict(json_field(data, "kernel", dict, src))
+    p = json_field(data, "p", json_number, src, kernel.p)
+    centers = json_field(data, "centers", json_array, src)
+    blocks = json_field(data, "coeffs", json_array, src)
     if centers.ndim != 1 or centers.size == 0:
         raise DataFormatError("model centers must be a nonempty list of reals")
     if blocks.shape != (centers.size, kernel.n):
@@ -524,9 +524,9 @@ def model_from_dict(data: dict) -> FitModel:
         raise DataFormatError("model centers must be pairwise distinct")
     if not np.all(np.isfinite(blocks)):
         raise DataFormatError("model coefficients must be finite")
-    model = _make_model(kernel, centers, blocks, dict(data.get("meta", {})), p)
+    model = _make_model(kernel, centers, blocks, json_field(data, "meta", dict, src, {}), p)
     norm = model.norm_lp1
-    if abs(float(data.get("norm_lp1", norm)) - norm) > 1e-12 * max(1.0, norm):
+    if abs(json_field(data, "norm_lp1", json_number, src, norm) - norm) > 1e-12 * max(1.0, norm):
         raise DataFormatError("stored norm_lp1 disagrees with stored coefficients")
     return model
 

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import groupkernels as gk
 from groupkernels.blocklinalg import (
+    PIVOT_RTOL,
     BlockVector,
     block_inverse_2x2,
     block_norms,
@@ -96,6 +97,31 @@ def test_gram_assemble_errors():
     Kc = gk.OperatorKernel(rank1, gk.TaskCoupling.identity(1), p=2)
     with pytest.raises(SingularError):
         gram_assemble(Kc, [0.2, 0.5])
+
+
+def test_gram_assemble_indefinite_branch():
+    # [[0, 1], [1, 0]] is indefinite and nonsingular: Cholesky fails, the
+    # singular-value rule passes, and the LU solve is exact
+    swap = gk.custom(lambda x, y: np.where(x == y, 0.0, 1.0), domain=(0.0, 1.0))
+    S = gram_assemble(gk.OperatorKernel(swap, gk.TaskCoupling.identity(1), p=2), [0.25, 0.75])
+    assert S.kind == "lu"
+    np.testing.assert_array_equal(S.G, [[0.0, 1.0], [1.0, 0.0]])
+    c = gram_solve(S, BlockVector([[2.0], [-3.0]], p=2))
+    np.testing.assert_array_equal(c.blocks, [[-3.0], [2.0]])
+    # [[1, 1], [1, 1 - 1e-13]] is indefinite with smallest singular value
+    # about 5e-14, below PIVOT_RTOL * max|G|
+    near = gk.custom(lambda x, y: np.where((x == y) & (x == 0.75), 1.0 - 1e-13, 1.0),
+                     domain=(0.0, 1.0))
+    K = gk.OperatorKernel(near, gk.TaskCoupling.identity(1), p=2)
+    assert np.linalg.svd(K.scalar.func(np.array([[0.25], [0.75]]), np.array([[0.25, 0.75]])),
+                         compute_uv=False).min() < PIVOT_RTOL
+    with pytest.raises(SingularError, match="numerically singular"):
+        gram_assemble(K, [0.25, 0.75])
+    # a non-finite Gram from a custom callable fails the same rule
+    for bad in (np.nan, np.inf):
+        odd = gk.custom(lambda x, y, bad=bad: np.where(x == y, bad, 0.5), domain=(0.0, 1.0))
+        with pytest.raises(SingularError):
+            gram_assemble(gk.OperatorKernel(odd, gk.TaskCoupling.identity(1), p=2), [0.2, 0.6])
 
 
 def test_gram_solve_examples():

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -269,6 +272,52 @@ def test_predict_rejects_invalid_model(tmp_path, capsys, tamper, fragment):
     err = capsys.readouterr().err
     assert "DataFormatError" in err and fragment in err
     assert not out.exists()
+
+
+_KERNEL = {"family": "tfamily", "t": 1.0, "coupling": {"n": 1, "A": [[1.0]]}}
+_MODEL = {"kernel": _KERNEL, "centers": [0.5], "coeffs": [[1.0]]}
+
+
+@pytest.mark.parametrize("command,text,fragment", [
+    ("predict", '{"centers": [0.5]}', "model JSON: missing field 'kernel'"),
+    ("predict", "[1, 2]", "model JSON: no object holds field 'kernel'"),
+    ("predict", json.dumps({**_MODEL, "kernel": {k: v for k, v in _KERNEL.items() if k != "t"}}),
+     "kernel JSON: missing field 't'"),
+    ("predict", json.dumps({**_MODEL, "coeffs": [[1.0, 2.0], [3.0]]}),
+     "model JSON: field 'coeffs' is malformed"),
+    ("predict", json.dumps({**_MODEL, "kernel": {**_KERNEL, "t": "1"}}),
+     "kernel JSON: field 't' is malformed"),
+    ("interpolate", '{"family": "wendland"}', "kernel JSON: missing field 'coupling.A'"),
+], ids=["model without kernel", "model not an object", "tfamily without t", "ragged coeffs",
+        "t a string", "kernel without coupling"])
+def test_malformed_json_exits_1_naming_the_field(tmp_path, capsys, command, text, fragment):
+    bad, data = tmp_path / "bad.json", tmp_path / "data.csv"
+    bad.write_text(text)
+    data.write_text("x,y1\n0.5,1.0\n")
+    out = tmp_path / "out"
+    if command == "predict":
+        argv = ["predict", "--model", str(bad), "--points", str(data)]
+    else:
+        argv = ["interpolate", "--kernel-json", str(bad), "--data", str(data)]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DataFormatError: ")
+    assert fragment in err[0]
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = ("import sys, groupkernels.cli; print(groupkernels.cli.__file__); "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.strip().splitlines()
+    assert Path(where).resolve().is_relative_to(root / "src")
+    assert loaded == "[]"
 
 
 def test_wrong_column_count_vs_coupling(tmp_path, capsys):

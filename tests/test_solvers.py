@@ -13,6 +13,7 @@ from groupkernels.blocklinalg import BlockVector, block_norms, lp1_norm
 from groupkernels.errors import (
     DataFormatError,
     DomainError,
+    DuplicateCenterError,
     NonconvergenceError,
     RankError,
     ShapeError,
@@ -350,6 +351,26 @@ def test_learn_config_validation():
         LearnConfig(lam=1.0, loss="huber")
     with pytest.raises(ValueError):
         LearnConfig(lam=1.0, tol=0.0)
+
+
+@pytest.mark.parametrize("fit", [fit_regularized, fit_admm], ids=["fista", "admm"])
+def test_fit_prologue_checks_sites_without_assembling_a_system(monkeypatch, fit):
+    # no fit solves with the Gram, so none builds a GramSystem; the site
+    # checks of gram_assemble still apply
+    def unused(*args):
+        raise AssertionError("a fit built a GramSystem")
+
+    monkeypatch.setattr(gk.solvers, "gram_assemble", unused)
+    cfg = LearnConfig(lam=0.1)
+    y = BlockVector([[1.0, 0.0], [0.0, 1.0]], 2)
+    model = fit(EXP2, [-1.0, 1.0], y, cfg)
+    assert np.all(np.isfinite(model.coeffs.blocks))
+    with pytest.raises(ShapeError):
+        fit(EXP2, [], BlockVector(np.zeros((0, 2)), 2), cfg)
+    with pytest.raises(DuplicateCenterError):
+        fit(EXP2, [0.5, 0.5], y, cfg)
+    with pytest.raises(DomainError):
+        fit(EXP2, [0.5, 3.0], y, cfg)
 
 
 def threshold_lambda(K, x, y):
