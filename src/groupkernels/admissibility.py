@@ -16,7 +16,7 @@ budget so a "pass" claim is scoped to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -58,15 +58,6 @@ class CertificationConfig:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "max_centers": self.max_centers,
-            "grid_size": self.grid_size,
-            "trials": self.trials,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
-
 
 @dataclass
 class ScanResult:
@@ -101,7 +92,7 @@ class CertificationReport:
     def to_dict(self) -> dict:
         return {
             "kernel": self.kernel,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "a1": self.a1,
             "a2": self.a2,
             "a4": self.a4,
@@ -134,12 +125,10 @@ def _require_bounded(kernel: OperatorKernel) -> tuple[float, float]:
     return lo, hi
 
 
-def sample_centers(lo: float, hi: float, m: int, rng: np.random.Generator,
-                   min_sep: float | None = None) -> np.ndarray:
+def sample_centers(lo: float, hi: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m sorted centers drawn uniformly from (lo, hi) with a minimum
     separation of (hi - lo)/(10 m) to avoid spurious near-duplicates."""
-    if min_sep is None:
-        min_sep = (hi - lo) / (10.0 * m)
+    min_sep = (hi - lo) / (10.0 * m)
     for _ in range(1000):
         pts = np.sort(rng.uniform(lo, hi, size=m))
         if pts[0] <= lo or pts[-1] >= hi:
@@ -386,7 +375,7 @@ def scan_report_dict(kernel: OperatorKernel, cfg: CertificationConfig,
     a4_ok = result.worst <= 1.0 + cfg.tolerance
     return {
         "kernel": kernel_to_dict(kernel),
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "a4": result.a4_dict(),
         "verdict": {"a4": "pass" if a4_ok else "fail"},
     }

@@ -121,8 +121,6 @@ def _build_kernel(args) -> kernels.OperatorKernel:
         spec_kwargs["weights"] = _parse_pair(args.weights, "--weights")
     if args.domain is not None:
         spec_kwargs["domain"] = _parse_pair(args.domain, "--domain")
-    elif args.kernel == "exponential":
-        spec_kwargs["domain"] = (-math.inf, math.inf)
     spec = kernels.ScalarKernelSpec(args.kernel, **spec_kwargs)
     if args.coupling is None:
         raise UsageError("--coupling is required (identity:N or a CSV path)")
@@ -130,12 +128,10 @@ def _build_kernel(args) -> kernels.OperatorKernel:
     return kernels.OperatorKernel(scalar=spec, coupling=coupling, p=_parse_p(args.p))
 
 
-def _meta(args, extra=None) -> dict:
-    meta = dict(extra or {})
-    meta["seed"] = args.seed if hasattr(args, "seed") else 0
-    if not getattr(args, "deterministic", False):
-        meta["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return meta
+def _meta(args) -> dict:
+    if args.deterministic:
+        return {}
+    return {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
 
 
 def _model_json(model, args) -> str:
@@ -181,7 +177,7 @@ def _cmd_fit(args) -> int:
 
     def config(lam):
         return solvers.LearnConfig(lam=lam, loss=args.loss, max_iters=args.max_iters,
-                                   tol=args.tol, restart=not args.no_restart)
+                                   tol=args.tol)
 
     if args.lambda_grid is not None:
         rows = ["lambda,norm_lp1,objective"]
@@ -268,16 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--loss", choices=("squared", "absolute"), default="squared")
     p_fit.add_argument("--max-iters", type=int, default=100_000)
     p_fit.add_argument("--tol", type=float, default=1e-10)
-    p_fit.add_argument("--no-restart", action="store_true")
     p_fit.add_argument("--out", default=None)
-    p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--deterministic", action="store_true")
 
     p_int = sub.add_parser("interpolate", help="exact minimal-norm interpolation")
     _add_kernel_flags(p_int)
     p_int.add_argument("--data", required=True)
     p_int.add_argument("--out", required=True)
-    p_int.add_argument("--seed", type=int, default=0)
     p_int.add_argument("--deterministic", action="store_true")
 
     p_pre = sub.add_parser("predict", help="evaluate a persisted model at points")
@@ -292,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pur.add_argument("--extra-centers", default=None)
     p_pur.add_argument("--max-iters", type=int, default=200_000)
     p_pur.add_argument("--out", required=True)
-    p_pur.add_argument("--seed", type=int, default=0)
     p_pur.add_argument("--deterministic", action="store_true")
 
     for name, helptext in (("certify", "run the a1-a4 certification probes"),

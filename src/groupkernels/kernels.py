@@ -38,14 +38,15 @@ class ScalarKernelSpec:
     t        mixing parameter of the min{x,y} - t*x*y family, in [-1, 1];
              also used for the first term of a combination (default 1.0)
     weights  (C1, C2) nonnegative weights of a combination, C1 + C2 > 0
-    domain   open interval (lo, hi); evaluating at an endpoint is an error
+    domain   open interval (lo, hi); evaluating at an endpoint is an error;
+             when omitted, (-inf, inf) for exponential and (0, 1) otherwise
     func     vectorized symmetric callable, required for family="custom"
     """
 
     family: str
     t: float | None = None
     weights: tuple[float, float] | None = None
-    domain: tuple[float, float] = (0.0, 1.0)
+    domain: tuple[float, float] | None = None
     func: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = field(
         default=None, compare=False
     )
@@ -59,7 +60,10 @@ class ScalarKernelSpec:
             object.__setattr__(self, "t", t)
         if self.family not in BUILTIN_FAMILIES + ("custom",):
             raise ValueError(f"unknown kernel family {self.family!r}")
-        lo, hi = float(self.domain[0]), float(self.domain[1])
+        domain = self.domain
+        if domain is None:
+            domain = (-math.inf, math.inf) if self.family == "exponential" else (0.0, 1.0)
+        lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise ValueError(f"domain must satisfy lo < hi, got ({lo}, {hi})")
         object.__setattr__(self, "domain", (lo, hi))
@@ -110,8 +114,9 @@ def wendland() -> ScalarKernelSpec:
     return ScalarKernelSpec("wendland")
 
 
-def exponential(domain: tuple[float, float] = (-math.inf, math.inf)) -> ScalarKernelSpec:
-    """exp(-|x-y|); defined on all of R, certifiable on bounded subintervals."""
+def exponential(domain: tuple[float, float] | None = None) -> ScalarKernelSpec:
+    """exp(-|x-y|); defined on all of R (the default domain), certifiable
+    on bounded subintervals."""
     return ScalarKernelSpec("exponential", domain=domain)
 
 
@@ -303,16 +308,27 @@ class TaskCoupling:
     def from_csv(cls, path) -> "TaskCoupling":
         rows, linenos = [], []
         with open(path, newline="") as fh:
-            for i, row in enumerate(csv.reader(fh)):
+            for lineno, row in enumerate(csv.reader(fh), start=1):
                 if not row:
                     continue
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError:
-                    raise DataFormatError(f"{path}: row {i + 1}: non-numeric entry") from None
-                linenos.append(i + 1)
-        if not rows or any(len(r) != len(rows) for r in rows):
-            raise DataFormatError(f"{path}: coupling CSV must be n rows of n values")
+                vals = []
+                for col, cell in enumerate(row, start=1):
+                    try:
+                        vals.append(float(cell))
+                    except ValueError:
+                        raise DataFormatError(
+                            f"{path}: row {lineno}, column {col}: non-numeric value {cell!r}"
+                        ) from None
+                rows.append(vals)
+                linenos.append(lineno)
+        if not rows:
+            raise DataFormatError(f"{path}: coupling CSV must be n rows of n values, got none")
+        for lineno, vals in zip(linenos, rows):
+            if len(vals) != len(rows):
+                raise DataFormatError(
+                    f"{path}: row {lineno}: expected {len(rows)} values, one per row "
+                    f"(n rows of n values), got {len(vals)}"
+                )
         require_finite(path, np.array(rows), linenos, range(1, len(rows) + 1))
         return cls.from_matrix(rows)
 
@@ -424,7 +440,9 @@ def kernel_from_dict(data: dict) -> OperatorKernel:
         raise ValueError("custom kernels cannot be deserialized")
     if family not in BUILTIN_FAMILIES and family not in FAMILY_ALIASES:
         raise DataFormatError(f"unknown kernel family {family!r}")
-    kwargs = {"domain": json_field(data, "domain", _domain_from_json, src, (0.0, 1.0))}
+    kwargs = {}
+    if "domain" in data:
+        kwargs["domain"] = json_field(data, "domain", _domain_from_json, src)
     if family == "tfamily":
         kwargs["t"] = json_field(data, "t", json_number, src)
     if family == "combination":

@@ -72,7 +72,6 @@ class LearnConfig:
     loss: str = "squared"
     max_iters: int = 100_000
     tol: float = 1e-10
-    restart: bool = True
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -193,10 +192,9 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     if p == 1.0:
         return np.sign(blocks) * np.maximum(np.abs(blocks) - tau, 0.0)
     norms = block_norms(blocks, 2.0)
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(1.0 - tau / norms[nz], 0.0)
-    return blocks * scale[:, None]
+    # a zero block gets ratio inf and so scale 0
+    ratio = np.divide(tau, norms, out=np.full_like(norms, np.inf), where=norms > 0)
+    return blocks * np.maximum(1.0 - ratio, 0.0)[:, None]
 
 
 def _norm(v: np.ndarray) -> float:
@@ -208,7 +206,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _admm(project, proxes, shape, rho, max_iters, tol, what):
+def _admm(project, proxes, shape, max_iters, tol, what):
     """Scaled ADMM for a sum of separable terms over an affine set, split
     as x = z with x confined to the set and block z_i carrying term i:
 
@@ -218,12 +216,13 @@ def _admm(project, proxes, shape, rho, max_iters, tol, what):
     rho ||z - z_prev||, each over all blocks, both fall to tol.  Residual
     balancing (Boyd et al. 2011, sec. 3.4.1) doubles or halves rho, and
     rescales the scaled dual, whenever one residual exceeds ten times the
-    other, every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE.
+    other, every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE; rho
+    starts at 1.
     Returns (x, iterations, primal residual, dual residual, rho).
     """
     z = [np.zeros(shape) for _ in proxes]
     u = [np.zeros(shape) for _ in proxes]
-    r = s = math.inf
+    rho, r, s = 1.0, math.inf, math.inf
     for it in range(1, max_iters + 1):
         x = project(*[zi - ui for zi, ui in zip(z, u)])
         z_new = [prox(xi + ui, rho) for prox, xi, ui in zip(proxes, x, u)]
@@ -253,8 +252,7 @@ def _admm(project, proxes, shape, rho, max_iters, tol, what):
 
 
 def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
-                        y: BlockVector, p: float | None = None,
-                        rho: float = 1.0, max_iters: int = 200_000) -> FitModel:
+                        y: BlockVector, max_iters: int = 200_000) -> FitModel:
     """Minimize the grouped coefficient norm over expansions supported on
     `centers` subject to interpolating y at `constraints_x`.
 
@@ -262,7 +260,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     alternating with the grouped shrinkage.  Stops when both residuals
     fall below 1e-9.
     """
-    p = kernel.p if p is None else float(p)
+    p = kernel.p
     if p not in (1.0, 2.0):
         raise ValueError(f"basis pursuit implemented for p in {{1, 2}}, got {p}")
     spec = kernel.scalar
@@ -288,7 +286,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         return (v - q_mat @ (q_mat.T @ v - w),)
 
     (c,), it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
-                                (big_m, n), rho, max_iters, PURSUIT_TOL, "basis pursuit")
+                                (big_m, n), max_iters, PURSUIT_TOL, "basis pursuit")
     meta = {
         "solver": "admm-basis-pursuit",
         "iterations": it,
@@ -297,7 +295,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         "rho": rho,
         "p": p,
     }
-    return _make_model(kernel, cen, c, meta, p)
+    return _make_model(kernel, cen, c, meta)
 
 
 def _loss_value(w: np.ndarray, y: np.ndarray, loss: str) -> float:
@@ -327,7 +325,7 @@ def _power_lipschitz(g: np.ndarray, a: np.ndarray, iters: int = 100) -> float:
     return lam
 
 
-def _fista(g, a, y, lam, p, max_iters, tol, restart):
+def _fista(g, a, y, lam, p, max_iters, tol):
     """Accelerated proximal gradient for the squared loss, with adaptive
     restart: whenever the objective would rise, momentum resets and the
     step is redone plainly, so the recorded objective never increases."""
@@ -345,7 +343,7 @@ def _fista(g, a, y, lam, p, max_iters, tol, restart):
         grad = g @ (g @ v @ a - y) @ a
         c_new = _shrink(v - step * grad, lam * step, p)
         f_new = _objective(g, a, c_new, y, lam, p, "squared")
-        if restart and f_new > f_prev:
+        if f_new > f_prev:
             theta = 1.0
             grad = g @ (g @ c @ a - y) @ a
             c_new = _shrink(c - step * grad, lam * step, p)
@@ -384,8 +382,7 @@ def _design(kernel: OperatorKernel, x, y: BlockVector):
     return g, a
 
 
-def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig,
-             rho: float = 1.0) -> FitModel:
+def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> FitModel:
     """Regularized fit by ADMM (_admm) on the split (coefficients, fitted
     values) coupled through the design constraint.
 
@@ -408,8 +405,7 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig,
 
     proxes = [lambda v, rho: _shrink(v, cfg.lam / rho, kernel.p),
               lambda v, rho: _prox_loss(v, y_b, rho, cfg.loss)]
-    (c, _), it, r, s, rho = _admm(project, proxes, y_b.shape, rho, cfg.max_iters, cfg.tol,
-                                  "admm")
+    (c, _), it, r, s, rho = _admm(project, proxes, y_b.shape, cfg.max_iters, cfg.tol, "admm")
     meta = {
         "solver": "admm-regularized",
         "loss": cfg.loss,
@@ -435,7 +431,7 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
         return fit_admm(kernel, x, y, cfg)
     g, a = _design(kernel, x, y)
     c, trace, iters, change = _fista(g, a, y.blocks, cfg.lam, kernel.p,
-                                     cfg.max_iters, cfg.tol, cfg.restart)
+                                     cfg.max_iters, cfg.tol)
     meta = {
         "solver": "fista",
         "loss": cfg.loss,
@@ -462,14 +458,10 @@ def expansion_sup_norm(model: FitModel, grid_size: int) -> float:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         lo, hi = float(model.centers.min()), float(model.centers.max())
     ca = model.coeffs.blocks @ kernel.coupling.A
-    q = kernel.q
 
     def norms_at(queries):
         e = scalar_values(kernel.scalar, queries[:, None], model.centers[None, :])
-        vals = e @ ca
-        if math.isinf(q):
-            return np.abs(vals).max(axis=1) if vals.size else np.zeros(queries.size)
-        return np.linalg.norm(vals, ord=q, axis=1)
+        return block_norms(e @ ca, kernel.q)
 
     if hi <= lo:
         return float(norms_at(np.array([lo]))[0])

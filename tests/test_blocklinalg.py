@@ -53,6 +53,42 @@ def test_lp1_is_a_norm(blocks, p):
     assert lhs <= v + lp1_norm(d) + 1e-9 * (1.0 + v)
 
 
+def rowwise_block_norms(blocks, p):
+    """Reference: the row-by-row rescaled formula that block_norms replaced."""
+    if blocks.size == 0:
+        return np.zeros(blocks.shape[0])
+    if math.isinf(p):
+        return np.abs(blocks).max(axis=1)
+    if p == 1.0:
+        return np.abs(blocks).sum(axis=1)
+    amax = np.abs(blocks).max(axis=1)
+    out = np.zeros_like(amax)
+    nz = amax > 0
+    out[nz] = amax[nz] * np.linalg.norm(blocks[nz] / amax[nz, None], ord=p, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_block_norms_match_rowwise_reference(p):
+    """Bit for bit for n < 8.  From n = 8 on numpy sums a contiguous row
+    pairwise with eight accumulators, while the task-major reduction adds
+    the n rows in sequence, so the two may differ by a few ulp."""
+    rng = np.random.default_rng(17)
+    # rows near 1e+-300 (and subnormal) overflow or underflow unless rescaled
+    scales = np.array([1.0, 1e300, 1e-300, 1e-310, 3.0])
+    for n in range(1, 17):
+        blocks = rng.standard_normal((60, n)) * scales[np.arange(60) % scales.size, None]
+        blocks[::7] = 0.0
+        ours, ref = block_norms(blocks, p), rowwise_block_norms(blocks, p)
+        assert np.all(np.isfinite(ours)) and np.all(ours[::7] == 0.0)
+        if n < 8:
+            np.testing.assert_array_equal(ours, ref)
+        else:
+            np.testing.assert_allclose(ours, ref, rtol=4 * np.finfo(float).eps, atol=0.0)
+    for shape in ((0, 3), (4, 0)):
+        np.testing.assert_array_equal(block_norms(np.zeros(shape), p), np.zeros(shape[0]))
+
+
 def test_coupling_opnorm_endpoints():
     A = np.array([[1.0, -2.0], [3.0, 0.5]])
     assert coupling_opnorm(A, 1) == 3.0        # max |a_ij|
@@ -256,9 +292,9 @@ def test_compatible_inequality(p):
 
 
 def test_block_vector_shapes():
-    c = BlockVector.from_blocks([(3.0, 4.0), (0.0, 0.0)], p=2)
+    c = BlockVector([(3.0, 4.0), (0.0, 0.0)], p=2)
     assert c.m == 2 and c.n == 2
-    z = BlockVector.zeros(3, 2, p=1)
+    z = BlockVector(np.zeros((3, 2)), p=1)
     assert lp1_norm(z) == 0.0
     with pytest.raises(ValueError):
         BlockVector([[1.0]], p=0.5)

@@ -235,6 +235,41 @@ def test_non_finite_values_rejected_at_read(tmp_path, capsys, command, bad_file,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text,where", [
+    ("1.0,0.0\n0.0,abc\n", "row 2, column 2: non-numeric value 'abc'"),
+    ("1.0,0.0\n\n0.0\n", "row 3: expected 2 values, one per row (n rows of n values), got 1"),
+    ("1.0,0.0,0.0\n0.0,1.0,0.0\n",
+     "row 1: expected 2 values, one per row (n rows of n values), got 3"),
+], ids=["non-numeric cell", "short row", "rows longer than the row count"])
+def test_coupling_csv_errors_name_row_and_column(tmp_path, capsys, text, where):
+    (tmp_path / "data.csv").write_text("x,y1,y2\n0.2,1.0,0.0\n0.7,0.5,1.0\n")
+    (tmp_path / "coupling.csv").write_text(text)
+    out = tmp_path / "model.json"
+    capsys.readouterr()
+    assert run(["interpolate", "--kernel", "wendland", "--coupling", str(tmp_path / "coupling.csv"),
+                "--data", str(tmp_path / "data.csv"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].endswith(f"coupling.csv: {where}"), err
+    assert not out.exists()
+
+
+def test_kernel_json_without_domain_gets_the_family_default(tmp_path):
+    # exponential defaults to (-inf, inf) whether it comes from --kernel or
+    # from a kernel JSON with no domain
+    (tmp_path / "data.csv").write_text("x,y1\n1.5,1.0\n-0.5,2.0\n")
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps({"family": "exponential", "coupling": {"n": 1, "A": [[1.0]]}}))
+    written = []
+    for flags in (["--kernel-json", str(kpath)],
+                  ["--kernel", "exponential", "--coupling", "identity:1"]):
+        out = tmp_path / f"model{len(written)}.json"
+        assert run(["interpolate", *flags, "--data", str(tmp_path / "data.csv"),
+                    "--deterministic", "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["kernel"]["domain"] == [None, None]
+
+
 def test_near_duplicate_sites_exit_2(tmp_path, capsys):
     # exponential sites 1e-14 apart: the parent wrote a model with residual
     # 5.5e-3 and norm 1e14 and exited 0

@@ -1,5 +1,7 @@
-"""The experiment scripts run end to end at a small budget."""
+"""The experiment scripts run end to end at a small budget, and the
+benchmark tracer still finds every library name it wraps."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -21,3 +23,27 @@ def test_script_runs(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_tracer_wraps_existing_names(tmp_path, monkeypatch):
+    # perfbench/tracer.py wraps library functions by attribute name, so
+    # deleting or renaming one breaks `perfbench/run.py --trace 1`
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    t = tracer.Tracer()
+    t.install_all()
+    patched = list(t.patched)
+    try:
+        (tmp_path / "data.csv").write_text("x,y1\n0.2,1.0\n0.5,0.3\n0.8,-0.4\n")
+        kernel = ["--kernel", "wendland", "--coupling", "identity:1", "--data",
+                  str(tmp_path / "data.csv")]
+        codes, _ = tracer.run_pass([["interpolate", *kernel, "--out", str(tmp_path / "i.json")],
+                                    ["fit", *kernel, "--lambda", "0.1",
+                                     "--out", str(tmp_path / "f.json")]], t)
+    finally:
+        t.uninstall_all()
+    assert codes == [0, 0]
+    calls = t.summary()["calls"]
+    assert calls["blocklinalg.gram_assemble"] == 1 and calls["solvers.prox"] > 0
+    assert t.counts["solvers.fista.iterations"] > 0
+    assert all(getattr(mod, attr) is original for mod, attr, original in patched)

@@ -207,6 +207,13 @@ def test_prox_examples():
     np.testing.assert_allclose(block_soft_threshold(z, 2.5, 2).blocks, [[1.5, 2.0]],
                                rtol=1e-15)
     np.testing.assert_array_equal(block_soft_threshold(z, 0.0, 2).blocks, z.blocks)
+    # zero blocks stay exactly zero, and tau = 0 is the identity, for both p
+    mixed = [[0.0, 0.0], [3.0, -4.0], [0.0, 0.0], [0.5, 0.1]]
+    for p, shrunk in ((2, [[0.0, 0.0], [1.5, -2.0], [0.0, 0.0], [0.0, 0.0]]),
+                      (1, [[0.0, 0.0], [0.5, -1.5], [0.0, 0.0], [0.0, 0.0]])):
+        zm = BlockVector(mixed, p)
+        np.testing.assert_array_equal(block_soft_threshold(zm, 0.0, p).blocks, zm.blocks)
+        np.testing.assert_allclose(block_soft_threshold(zm, 2.5, p).blocks, shrunk, rtol=1e-15)
     z1 = BlockVector([[3.0, -4.0], [0.5, 0.1]], 1)
     np.testing.assert_allclose(block_soft_threshold(z1, 1.0, 1).blocks,
                                [[2.0, -3.0], [0.0, 0.0]], rtol=1e-15)
