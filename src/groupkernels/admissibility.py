@@ -28,6 +28,7 @@ from .kernels import (
     BUILTIN_FAMILIES,
     OperatorKernel,
     kernel_to_dict,
+    require_in_domain,
     scalar_uniform_bound,
     scalar_values,
 )
@@ -108,7 +109,7 @@ def det_tfamily_closed_form(centers, t: float) -> float:
     arr = np.atleast_1d(np.asarray(centers, dtype=float))
     if arr.size == 0:
         raise ShapeError("at least one center is required")
-    if arr[0] <= 0.0 or arr[-1] >= 1.0 or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("centers must lie in the open interval (0, 1)")
     if arr.size > 1 and np.any(np.diff(arr) <= 0.0):
         raise OrderError("centers must be strictly increasing")
@@ -136,7 +137,7 @@ def sample_centers(lo: float, hi: float, m: int, rng: np.random.Generator) -> np
         if m > 1 and np.diff(pts).min() < min_sep:
             continue
         return pts
-    raise RuntimeError("center sampling failed; separation constraint too tight")
+    raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} in 1000 draws")
 
 
 def _trial_rng(seed: int, m: int, trial: int) -> np.random.Generator:
@@ -175,10 +176,7 @@ def lebesgue_at(kernel: OperatorKernel, centers, query: float) -> float:
     """Stability value at one query point against one center set."""
     system = gram_assemble(kernel, centers)
     arr = np.atleast_1d(np.asarray(centers, dtype=float))
-    lo, hi = kernel.scalar.domain
-    q = float(query)
-    if not lo < q < hi:
-        raise DomainError(f"query {q!r} outside open domain ({lo}, {hi})")
+    q = float(require_in_domain(kernel.scalar, query, what="query"))
     return float(_stability_values(system, kernel, arr, np.array([q]))[0])
 
 

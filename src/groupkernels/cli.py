@@ -192,8 +192,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.model) as fh:
-        model = solvers.model_from_dict(json.load(fh))
+    model = solvers.model_from_dict(kernels.read_json(args.model))
     points = solvers.read_points_csv(args.points, model.kernel.scalar.domain)
     preds = solvers.predict_many(model, points)
     _write_atomic(args.out, _predictions_csv(points, preds))

@@ -248,6 +248,46 @@ def require_finite(source, table: np.ndarray, rows, columns) -> None:
         )
 
 
+def read_csv_rows(path):
+    """(numbers, rows): the nonempty records of a CSV file as cell lists and
+    their 1-based record numbers.  A record the csv module cannot split,
+    such as one with a field past its 131,072-character limit, raises
+    DataFormatError naming the file and record."""
+    numbers, rows = [], []
+    lineno = 0
+    with open(path, newline="") as fh:
+        try:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if row:
+                    numbers.append(lineno)
+                    rows.append(row)
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: row {lineno + 1}: {exc}") from None
+    return numbers, rows
+
+
+def parse_cells(path, numbers, rows, columns) -> np.ndarray:
+    """The first len(columns) cells of every row, each row holding at least
+    that many, as a float table.  A non-numeric or non-finite cell raises
+    DataFormatError naming its record number and column label."""
+    k = len(columns)
+    try:
+        flat = [float(cell) for row in rows for cell in row[:k]]
+    except ValueError:
+        # the fast path found a bad cell; name the first one
+        for lineno, row in zip(numbers, rows):
+            for col, cell in zip(columns, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: row {lineno}, column {col}: non-numeric value {cell!r}"
+                    ) from None
+    table = np.array(flat).reshape(len(rows), k)
+    require_finite(path, table, numbers, columns)
+    return table
+
+
 def validate_centers(spec: ScalarKernelSpec, centers) -> np.ndarray:
     """Check centers are nonempty, in-domain and pairwise distinct; returns an array."""
     arr = require_in_domain(spec, centers, what="center")
@@ -306,31 +346,16 @@ class TaskCoupling:
 
     @classmethod
     def from_csv(cls, path) -> "TaskCoupling":
-        rows, linenos = [], []
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if not row:
-                    continue
-                vals = []
-                for col, cell in enumerate(row, start=1):
-                    try:
-                        vals.append(float(cell))
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: row {lineno}, column {col}: non-numeric value {cell!r}"
-                        ) from None
-                rows.append(vals)
-                linenos.append(lineno)
+        numbers, rows = read_csv_rows(path)
         if not rows:
             raise DataFormatError(f"{path}: coupling CSV must be n rows of n values, got none")
-        for lineno, vals in zip(linenos, rows):
-            if len(vals) != len(rows):
+        for lineno, row in zip(numbers, rows):
+            if len(row) != len(rows):
                 raise DataFormatError(
                     f"{path}: row {lineno}: expected {len(rows)} values, one per row "
-                    f"(n rows of n values), got {len(vals)}"
+                    f"(n rows of n values), got {len(row)}"
                 )
-        require_finite(path, np.array(rows), linenos, range(1, len(rows) + 1))
-        return cls.from_matrix(rows)
+        return cls.from_matrix(parse_cells(path, numbers, rows, range(1, len(rows) + 1)))
 
 
 @dataclass(frozen=True)
@@ -392,7 +417,7 @@ def json_field(data, path: str, read, source: str, default=None):
         value = value[key]
     try:
         return read(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past 1e308
         raise DataFormatError(f"{source}: field {path!r} is malformed: {value!r:.40}") from None
 
 
@@ -456,6 +481,15 @@ def kernel_from_dict(data: dict) -> OperatorKernel:
     return OperatorKernel(scalar=spec, coupling=coupling, p=p)
 
 
-def load_kernel(path) -> OperatorKernel:
+def read_json(path):
+    """The parsed JSON value of a file.  Nesting too deep for the parser
+    raises DataFormatError naming the file."""
     with open(path) as fh:
-        return kernel_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DataFormatError(f"{path}: JSON nested too deeply to parse") from None
+
+
+def load_kernel(path) -> OperatorKernel:
+    return kernel_from_dict(read_json(path))

@@ -10,7 +10,6 @@ noisy (regularized fitting).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +42,8 @@ from .kernels import (
     kernel_from_dict,
     kernel_to_dict,
     markov_gaps,
-    require_finite,
+    parse_cells,
+    read_csv_rows,
     require_in_domain,
     scalar_values,
     validate_centers,
@@ -544,65 +544,34 @@ def read_training_csv(path, domain=None):
     Malformed content fails before any solver runs, naming row and column;
     with domain=(lo, hi), so does an x outside that open interval.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        expected = ["x"] + [f"y{i}" for i in range(1, len(header))]
-        if len(header) < 2 or header != expected:
-            raise DataFormatError(f"{path}: header must be x,y1,...,yn, got {','.join(header)}")
-        xs, ys, linenos = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {lineno}: expected {len(header)} columns, got {len(row)}"
-                )
-            vals = []
-            for col, cell in zip(header, row):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataFormatError(
-                        f"{path}: row {lineno}, column {col}: non-numeric value {cell!r}"
-                    ) from None
-            xs.append(vals[0])
-            ys.append(vals[1:])
-            linenos.append(lineno)
-    if not xs:
+    numbers, rows = read_csv_rows(path)
+    if not rows:
+        raise DataFormatError(f"{path}: empty file")
+    header = [h.strip() for h in rows[0]]
+    expected = ["x"] + [f"y{i}" for i in range(1, len(header))]
+    if len(header) < 2 or header != expected:
+        raise DataFormatError(f"{path}: header must be x,y1,...,yn, got {','.join(header)!r}")
+    for lineno, row in zip(numbers[1:], rows[1:]):
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {lineno}: expected {len(header)} columns, got {len(row)}"
+            )
+    if len(rows) == 1:
         raise DataFormatError(f"{path}: no data rows")
-    x, y = np.asarray(xs), np.asarray(ys)
-    require_finite(path, np.column_stack([x, y]), linenos, header)
-    _require_x_in_domain(path, x, linenos, domain)
-    return x, y
+    table = parse_cells(path, numbers[1:], rows[1:], header)
+    _require_x_in_domain(path, table[:, 0], numbers[1:], domain)
+    return np.ascontiguousarray(table[:, 0]), np.ascontiguousarray(table[:, 1:])
 
 
 def read_points_csv(path, domain=None) -> np.ndarray:
     """Query points from a CSV whose first column is x (extra columns are
     ignored, so a training file works as-is).  With an open interval
     domain=(lo, hi), a point outside it is rejected naming its row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or header[0].strip() != "x":
-            raise DataFormatError(f"{path}: first column must be named x")
-        pts, linenos = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                pts.append(float(row[0]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {lineno}, column x: non-numeric value {row[0]!r}"
-                ) from None
-            linenos.append(lineno)
-    if not pts:
+    numbers, rows = read_csv_rows(path)
+    if not rows or rows[0][0].strip() != "x":
+        raise DataFormatError(f"{path}: first column must be named x")
+    if len(rows) == 1:
         raise DataFormatError(f"{path}: no data rows")
-    pts = np.asarray(pts)
-    require_finite(path, pts[:, None], linenos, ["x"])
-    _require_x_in_domain(path, pts, linenos, domain)
+    pts = parse_cells(path, numbers[1:], rows[1:], ["x"])[:, 0]
+    _require_x_in_domain(path, pts, numbers[1:], domain)
     return pts

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import groupkernels as gk
 from groupkernels.blocklinalg import BlockVector
@@ -339,6 +343,137 @@ def test_malformed_json_exits_1_naming_the_field(tmp_path, capsys, command, text
     assert len(err) == 1 and err[0].startswith("error: DataFormatError: ")
     assert fragment in err[0]
     assert not out.exists()
+
+
+# a valid file of every kind a command reads; each case below replaces one
+_GOOD_INPUTS = {"data.csv": "x,y1\n0.2,1.0\n0.6,2.0\n", "coupling.csv": "1.0\n",
+                "points.csv": "x\n0.3\n0.9\n", "model.json": json.dumps(_MODEL),
+                "kernel.json": json.dumps(_KERNEL)}
+
+
+def _run_reading(tmp_path, name, text):
+    """Run the command that reads the file `name` holding text, the other
+    files valid: interpolate for data, coupling and kernel, predict for
+    points and model.  Returns (exit code, stderr, output path)."""
+    paths = {}
+    for file, body in dict(_GOOD_INPUTS, **{name: text}).items():
+        (tmp_path / file).write_text(body, encoding="utf-8")
+        paths[file] = str(tmp_path / file)
+    if name in ("points.csv", "model.json"):
+        argv = ["predict", "--model", paths["model.json"], "--points", paths["points.csv"]]
+    elif name == "kernel.json":
+        argv = ["interpolate", "--kernel-json", paths["kernel.json"], "--data", paths["data.csv"]]
+    else:
+        argv = ["interpolate", "--kernel", "tfamily", "--t", "1", "--coupling",
+                paths["coupling.csv"], "--data", paths["data.csv"]]
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run([*argv, "--out", str(out)])
+    return rc, err.getvalue(), out
+
+
+def _assert_clean_exit(rc, err, out):
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err == ""
+    else:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not out.exists()
+
+
+_DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("name,text,fragment", [
+    ("data.csv", "x,y1\n0.5," + "1" * 131_073 + "\n", "row 2: field larger than field limit"),
+    ("coupling.csv", "1" * 131_073 + "\n", "row 1: field larger than field limit"),
+    ("points.csv", "x\n0.5\n" + "1" * 131_073 + "\n", "row 3: field larger than field limit"),
+    ("model.json", _DEEP_JSON, "JSON nested too deeply to parse"),
+    ("kernel.json", _DEEP_JSON, "JSON nested too deeply to parse"),
+], ids=["training cell past the field limit", "coupling cell past the field limit",
+        "points cell past the field limit", "deep model JSON", "deep kernel JSON"])
+def test_parser_failures_exit_1_naming_the_file(tmp_path, name, text, fragment):
+    # the parent raised _csv.Error or RecursionError out of cli.run
+    rc, err, out = _run_reading(tmp_path, name, text)
+    assert rc == 1, err
+    assert err.startswith(f"error: DataFormatError: {tmp_path / name}: {fragment}"), err
+    _assert_clean_exit(rc, err, out)
+
+
+def test_training_header_error_is_one_line(tmp_path):
+    # the header was printed raw, so its form feed split the error in two
+    rc, err, out = _run_reading(tmp_path, "data.csv", "0\x0c0")
+    assert rc == 1 and "header must be x,y1,...,yn, got '0\\x0c0'" in err
+    _assert_clean_exit(rc, err, out)
+
+
+def test_certify_center_sampling_failure_exits_1(tmp_path, capsys):
+    # 90 centers at separation 1/900 cannot all be drawn by rejection: the
+    # parent raised RuntimeError out of cli.run
+    out = tmp_path / "c.json"
+    assert run(["certify", "--kernel", "wendland", "--coupling", "identity:1",
+                "--max-centers", "90", "--trials", "1", "--grid", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError: no "), err
+    assert "centers in (0.0, 1.0) at separation" in err[0]
+    assert not out.exists()
+
+
+_CSV_CELLS = st.sampled_from(["x", "y1", "y2", "0.5", "0.25", "-1", "5", "1e999", "nan", "",
+                              " ", '"', "a"]) | st.text(max_size=4)
+_CSV_TEXT = st.text() | st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=5).map(
+    lambda rows: "\n".join(",".join(row) for row in rows))
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(["data.csv", "coupling.csv", "points.csv"]), text=_CSV_TEXT)
+@example(name="data.csv", text="0\x0c0")
+def test_any_csv_text_exits_cleanly(name, text):
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_clean_exit(*_run_reading(Path(tmp), name, text))
+
+
+_JSON_FIELDS = ["kernel", "centers", "coeffs", "p", "norm_lp1", "meta", "family", "t",
+                "weights", "domain", "coupling", "A", "n"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["inf", "tfamily", "wendland", "exponential", "combination", "custom"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_JSON_FIELDS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=12)
+_KERNEL_PATHS = [("family",), ("t",), ("domain",), ("weights",), ("p",), ("coupling",),
+                 ("coupling", "A"), ("coupling", "n")]
+_FIELD_PATHS = {"kernel.json": _KERNEL_PATHS,
+                "model.json": [("centers",), ("coeffs",), ("p",), ("norm_lp1",), ("meta",),
+                               ("kernel",), *[("kernel", *path) for path in _KERNEL_PATHS]]}
+
+
+def _with_field(name, path, value):
+    """The valid model or kernel JSON with the field at path set to value."""
+    doc = json.loads(_GOOD_INPUTS[name])
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def _json_documents(name):
+    edited = st.tuples(st.sampled_from(_FIELD_PATHS[name]), _JSON_VALUES).map(
+        lambda pv: _with_field(name, *pv))
+    return st.tuples(st.just(name), _JSON_VALUES | edited)
+
+
+@settings(max_examples=200)
+@given(case=st.sampled_from(["model.json", "kernel.json"]).flatmap(_json_documents))
+@example(case=("model.json", _with_field("model.json", ("p",), 10**400)))
+@example(case=("kernel.json", _with_field("kernel.json", ("coupling", "A"), [[10**400]])))
+def test_any_json_value_exits_cleanly(case):
+    # an int past the float range raised OverflowError out of cli.run at the parent
+    name, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_clean_exit(*_run_reading(Path(tmp), name, json.dumps(doc)))
 
 
 def test_cli_import_leaves_scipy_out():
