@@ -252,7 +252,8 @@ def read_csv_rows(path):
     """(numbers, rows): the nonempty records of a CSV file as cell lists and
     their 1-based record numbers.  A record the csv module cannot split,
     such as one with a field past its 131,072-character limit, raises
-    DataFormatError naming the file and record."""
+    DataFormatError naming the file and record; so does text that is not
+    UTF-8, naming the file."""
     numbers, rows = [], []
     lineno = 0
     with open(path, newline="") as fh:
@@ -263,6 +264,9 @@ def read_csv_rows(path):
                     rows.append(row)
         except csv.Error as exc:
             raise DataFormatError(f"{path}: row {lineno + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # exc.start counts from the decoder's current chunk, not the file
+            raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return numbers, rows
 
 
@@ -482,13 +486,16 @@ def kernel_from_dict(data: dict) -> OperatorKernel:
 
 
 def read_json(path):
-    """The parsed JSON value of a file.  Nesting too deep for the parser
-    raises DataFormatError naming the file."""
+    """The parsed JSON value of a file.  Text that is not JSON (or not
+    UTF-8), or nesting too deep for the parser, raises DataFormatError
+    naming the file."""
     with open(path) as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise DataFormatError(f"{path}: JSON nested too deeply to parse") from None
+        except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+            raise DataFormatError(f"{path}: not JSON: {exc}") from None
 
 
 def load_kernel(path) -> OperatorKernel:

@@ -61,12 +61,16 @@ _RHO_MIN, _RHO_MAX = 1e-8, 1e8
 # converges unconditionally)
 _BALANCE_PERIOD = 50
 _BALANCE_FREEZE = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class LearnConfig:
     """Regularized learning parameters (penalty weight applied to the
-    grouped coefficient norm; loss is squared or absolute)."""
+    grouped coefficient norm; loss is squared or absolute).  For the
+    squared loss tol is the relative duality gap the fit must certify and
+    max_iters caps its Newton steps; for ADMM they are the residual
+    tolerance and the iteration budget."""
 
     lam: float
     loss: str = "squared"
@@ -218,7 +222,8 @@ def _admm(project, proxes, shape, max_iters, tol, what):
     rescales the scaled dual, whenever one residual exceeds ten times the
     other, every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE; rho
     starts at 1.
-    Returns (x, iterations, primal residual, dual residual, rho).
+    Returns (x, u, iterations, primal residual, dual residual, rho); rho u_i
+    is the dual estimate of block i's term.
     """
     z = [np.zeros(shape) for _ in proxes]
     u = [np.zeros(shape) for _ in proxes]
@@ -233,7 +238,7 @@ def _admm(project, proxes, shape, max_iters, tol, what):
             ui -= zi
         z = z_new
         if r <= tol and s <= tol:
-            return x, it, r, s, rho
+            return x, u, it, r, s, rho
         if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
             if r > 10.0 * s and rho < _RHO_MAX:
                 step = 2.0
@@ -285,8 +290,8 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     def project(v):
         return (v - q_mat @ (q_mat.T @ v - w),)
 
-    (c,), it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
-                                (big_m, n), max_iters, PURSUIT_TOL, "basis pursuit")
+    (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
+                                   (big_m, n), max_iters, PURSUIT_TOL, "basis pursuit")
     meta = {
         "solver": "admm-basis-pursuit",
         "iterations": it,
@@ -298,70 +303,203 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     return _make_model(kernel, cen, c, meta)
 
 
-def _loss_value(w: np.ndarray, y: np.ndarray, loss: str) -> float:
+def _certificate(x, a, y, c, lam, p, loss="squared", theta=None):
+    """Duality gap and objective of min_C loss(Y - X C A) + lam sum_i ||C_i||_p
+    at C, for the squared loss 0.5 ||.||^2 or the absolute loss (entry sum).
+
+    The dual point is theta, by default the residual r = Y - X C A (for the
+    absolute loss the given theta, clipped into the box |theta_ij| <= 1),
+    scaled by s = min(1, lam / max_i ||U_i||_q) with U = X^T theta A, so that
+    s theta is dual feasible.  The gap P(C) - D(s theta) is summed as its
+    nonnegative Fenchel-Young terms, since P - D would subtract two nearly
+    equal numbers:
+        squared:   0.5 (1 - s)^2 ||r||^2 + sum_i (lam ||C_i||_p - s <C_i, U_i>)
+        absolute:  sum (|r| - s theta r) + sum_i (lam ||C_i||_p - s <C_i, U_i>)
+    C = 0 with lam at or above max_i ||(X^T Y A)_i||_q has gap exactly 0.
+    Returns (gap, objective, U).
+    """
+    r = y - x @ c @ a
+    theta = r if loss == "squared" else np.clip(theta, -1.0, 1.0)
+    u = x.T @ theta @ a
+    top = float(block_norms(u, p / (p - 1.0) if p > 1.0 else math.inf).max(initial=0.0))
+    s = 1.0 if top <= lam else lam / top
+    norms = block_norms(c, p)
     if loss == "squared":
-        return 0.5 * float(((w - y) ** 2).sum())
-    return float(np.abs(w - y).sum())
+        fit = 0.5 * float((r ** 2).sum())
+        loss_gap = (1.0 - s) ** 2 * fit
+    else:
+        fit = float(np.abs(r).sum())
+        loss_gap = float((np.abs(r) - s * theta * r).sum())
+    gap = loss_gap + float((lam * norms - s * (c * u).sum(axis=1)).sum())
+    return gap, fit + lam * float(norms.sum()), u
 
 
-def _objective(g, a, c, y, lam, p, loss) -> float:
-    return _loss_value(g @ c @ a, y, loss) + lam * float(block_norms(c, p).sum())
+def _smoothed(x, a, y, c, lam, mu, d):
+    """Value, gradient and per-cone Hessian blocks of the restricted fit's
+    barrier objective 0.5 ||Y - X C A||^2 + sum_v psi(v), over the cones v of
+    C: its rows for p = 2 (d = n), its entries for p = 1 (d = 1).
+
+    psi(v) = min_tau lam tau - mu log(tau^2 - ||v||^2) is the log barrier of
+    the cone ||v|| <= tau with tau eliminated in closed form; up to a
+    constant it is beta - mu log(mu + beta) with beta = hypot(mu, lam ||v||),
+    with gradient kappa v, kappa = lam^2 / (mu + beta), and Hessian
+    kappa I - (kappa^2 / beta) v v^T.  At mu = 0 it is lam ||v||, so the
+    objective is the fit objective itself, smooth where no cone vanishes
+    (a vanished cone gets zero gradient and curvature).
+    """
+    r = y - x @ c @ a
+    cones = c.reshape(-1, d)
+    beta = np.hypot(mu, lam * np.sqrt((cones * cones).sum(axis=1)))
+    kappa = np.divide(lam * lam, mu + beta, out=np.zeros_like(beta), where=beta > 0)
+    bend = kappa * np.divide(kappa, beta, out=np.zeros_like(beta), where=beta > 0)
+    value = 0.5 * float((r * r).sum()) + float(beta.sum())
+    if mu > 0.0:
+        value -= mu * float(np.log(mu + beta).sum())
+    grad = (kappa[:, None] * cones).reshape(c.shape) - x.T @ r @ a
+    blocks = kappa[:, None, None] * np.eye(d) - bend[:, None, None] * (
+        cones[:, :, None] * cones[:, None, :])
+    return value, grad, blocks
 
 
-def _power_lipschitz(g: np.ndarray, a: np.ndarray, iters: int = 100) -> float:
-    """Largest eigenvalue of the squared design operator C -> G^2 C A^2,
-    by power iteration from a deterministic generic start."""
-    m, n = g.shape[0], a.shape[0]
-    v = np.ones((m, n)) + 1e-3 * np.arange(m * n, dtype=float).reshape(m, n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = g @ (g @ v @ a) @ a
-        lam = float(np.sum(v * w))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return lam
+def _newton(x, a, y, c, lam, mu, d, hess_loss, free, budget):
+    """Newton's method on _smoothed over the entries of c marked free (the
+    rest stay fixed), at most budget steps; returns (c, steps).
+
+    With mu > 0 (centering) each step backtracks to sufficient decrease, and
+    the method stops once the squared Newton decrement is at most mu / 10.
+    With mu = 0 (polishing, every free cone nonzero) it takes full steps
+    while the gradient norm falls and the objective does not rise beyond
+    rounding: near the optimum that converges quadratically down to
+    rounding, where function values stop resolving progress long before.
+    The objective test refuses the wild steps of a singular system and
+    steps across a cone's apex that do not pay."""
+    polish = mu == 0.0
+    k = c.size // d
+    diag = np.arange(k)
+    value, grad, blocks = _smoothed(x, a, y, c, lam, mu, d)
+    steps = 0
+    while steps < budget:
+        hess = hess_loss.copy()
+        hess.reshape(k, d, k, d)[diag, :, diag, :] += blocks
+        g = grad.ravel()[free]
+        try:
+            move = np.linalg.solve(hess[np.ix_(free, free)], -g)
+        except np.linalg.LinAlgError:
+            break
+        dec = -float(g @ move)
+        if not polish and dec <= 0.1 * mu:
+            break
+        step = np.zeros(c.size)
+        step[free] = move
+        step = step.reshape(c.shape)
+        t = 1.0
+        trial = c + step
+        new = _smoothed(x, a, y, trial, lam, mu, d)
+        if polish:
+            if not (np.linalg.norm(new[1].ravel()[free]) < np.linalg.norm(g)
+                    and new[0] <= value + 64.0 * _EPS * max(1.0, value)):
+                break
+        else:
+            while not new[0] <= value - 0.25 * t * dec:
+                t *= 0.5
+                if t < 1e-12:
+                    return c, steps
+                trial = c + t * step
+                new = _smoothed(x, a, y, trial, lam, mu, d)
+        steps += 1
+        c, (value, grad, blocks) = trial, new
+    return c, steps
 
 
-def _fista(g, a, y, lam, p, max_iters, tol):
-    """Accelerated proximal gradient for the squared loss, with adaptive
-    restart: whenever the objective would rise, momentum resets and the
-    step is redone plainly, so the recorded objective never increases."""
-    big_l = _power_lipschitz(g, a)
-    if big_l == 0.0:
-        return np.zeros_like(y), [0.0], 0, 0.0
-    step = 1.0 / big_l
+def _restricted_fit(x, a, y, c, lam, p, target, budget):
+    """Squared-loss fit over the Gram columns x of the working set, from c.
+    Returns (c, Newton steps, certified).
+
+    A proximal-gradient step seeds the entering blocks.  Then the barrier
+    weight mu falls tenfold per stage, from the seed's gap per cone; each
+    stage centers by Newton and then polishes: Newton at mu = 0 over the
+    cones with lam ||v|| above sqrt(mu lam max ||v||), the geometric mean
+    of a centered inactive cone's O(mu) and an active cone's O(1) size,
+    the rest set to 0.  For p = 1, with the signs fixed, the polish is one
+    linear solve.  Both the polished and the centered point are certified.
+    It stops certified once one holds at target max(1, P); uncertified,
+    with the point of least gap, once the budget is spent or once mu times
+    the number of cones is below eps max(1, P), where the barrier no longer
+    changes the objective and rounding bounds the gap.
+    """
+    d = c.shape[1] if p == 2.0 else 1
+    xtx = x.T @ x
+    hess_loss = np.kron(xtx, a @ a)
+    gap, obj, u = _certificate(x, a, y, c, lam, p)
+    if gap <= target * max(1.0, obj):
+        return c, 0, True
+    big_l = float(np.linalg.eigvalsh(xtx)[-1]) * float(np.linalg.norm(a, 2)) ** 2
+    c = _shrink(c + u / big_l, lam / big_l, p)
+    best_gap = _certificate(x, a, y, c, lam, p)[0]
+    best, cones = c, c.size // d
+    mu = best_gap / cones
+    every = np.ones(c.size, dtype=bool)
+    steps = 0
+    while steps < budget and mu * cones > _EPS * max(1.0, obj):
+        c, used = _newton(x, a, y, c, lam, mu, d, hess_loss, every, budget - steps)
+        steps += used
+        lengths = lam * np.sqrt((c.reshape(-1, d) ** 2).sum(axis=1))
+        free = np.repeat(lengths > math.sqrt(mu * lengths.max()), d)
+        polished = np.where(free.reshape(c.shape), c, 0.0)
+        polished, used = _newton(x, a, y, polished, lam, 0.0, d, hess_loss, free,
+                                 budget - steps)
+        steps += used
+        for point in (polished, c):
+            gap, obj, _ = _certificate(x, a, y, point, lam, p)
+            if gap <= target * max(1.0, obj):
+                return point, steps, True
+            if gap < best_gap:
+                best_gap, best = gap, point
+        mu *= 0.1
+    return best, steps, False
+
+
+def _working_set_fit(g, a, y, lam, p, max_iters, tol):
+    """Squared-loss fit by working sets: certify C; keep the nonzero blocks
+    of W and add the worst KKT violators, blocks outside it with
+    ||U_i||_q > lam, at most max(16, |W|) per round; solve the fit
+    restricted to W (_restricted_fit); repeat until the certificate holds at
+    max(tol, 64 eps) max(1, P).  Raises NonconvergenceError once max_iters
+    Newton steps are spent, or when no violator is left to add and the
+    restricted fit stopped uncertified or made no step.  Returns (C, Newton
+    steps, objective, gap)."""
+    target = max(tol, 64.0 * _EPS)
+    q = p / (p - 1.0) if p > 1.0 else math.inf
     c = np.zeros_like(y)
-    v = c.copy()
-    theta = 1.0
-    f_prev = _objective(g, a, c, y, lam, p, "squared")
-    trace = [f_prev]
-    change = math.inf
-    for it in range(1, max_iters + 1):
-        grad = g @ (g @ v @ a - y) @ a
-        c_new = _shrink(v - step * grad, lam * step, p)
-        f_new = _objective(g, a, c_new, y, lam, p, "squared")
-        if f_new > f_prev:
-            theta = 1.0
-            grad = g @ (g @ c @ a - y) @ a
-            c_new = _shrink(c - step * grad, lam * step, p)
-            f_new = _objective(g, a, c_new, y, lam, p, "squared")
-        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        v = c_new + ((theta - 1.0) / theta_new) * (c_new - c)
-        theta = theta_new
-        c = c_new
-        trace.append(f_new)
-        change = abs(f_prev - f_new) / max(1.0, abs(f_prev))
-        if change <= tol:
-            return c, trace, it, change
-        f_prev = f_new
-    raise NonconvergenceError(
-        f"fista objective change {change:.3e} above tol after {max_iters} iterations",
-        iterations=max_iters,
-        residuals=(change,),
-    )
+    work = np.zeros(0, dtype=int)
+    sub_target, steps, progressed = target, 0, True
+    while True:
+        gap, obj, u = _certificate(g, a, y, c, lam, p)
+        if gap <= target * max(1.0, obj):
+            return c, steps, obj, gap
+        work = work[np.abs(c[work]).max(axis=1) > 0.0]
+        viol = block_norms(u, q)
+        viol[work] = 0.0
+        out = np.flatnonzero(viol > lam)
+        enter = out[np.argsort(-viol[out], kind="stable")][:max(16, work.size)]
+        if steps >= max_iters or (enter.size == 0 and not progressed):
+            raise NonconvergenceError(
+                f"newton gap {gap:.3e} above tolerance {target * max(1.0, obj):.3e} "
+                f"after {steps} steps",
+                iterations=steps,
+                residuals=(gap,),
+            )
+        if enter.size == 0:
+            # the working-set certificate held but the full one did not, by
+            # rounding between the two products: certify tighter
+            sub_target *= 0.25
+        work = np.concatenate([work, enter])
+        c_work, used, certified = _restricted_fit(g[:, work], a, y, c[work], lam, p,
+                                                  sub_target, max_iters - steps)
+        progressed = certified and used > 0
+        steps += used
+        c = np.zeros_like(y)
+        c[work] = c_work
 
 
 def _prox_loss(w, y, rho, loss):
@@ -390,7 +528,8 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> Fit
     eigenbases of the Gram and the coupling, so each iteration is a pair
     of separable proximal maps plus two basis changes.  Handles both
     losses; it is the solver of record for the absolute loss and the
-    cross-check oracle for the squared loss.
+    cross-check oracle for the squared loss.  It stops on its residuals;
+    meta.gap records the duality gap (_certificate) of the result.
     """
     g, a = _design(kernel, x, y)
     y_b = y.blocks
@@ -405,13 +544,18 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> Fit
 
     proxes = [lambda v, rho: _shrink(v, cfg.lam / rho, kernel.p),
               lambda v, rho: _prox_loss(v, y_b, rho, cfg.loss)]
-    (c, _), it, r, s, rho = _admm(project, proxes, y_b.shape, cfg.max_iters, cfg.tol, "admm")
+    (c, _), (_, u_w), it, r, s, rho = _admm(project, proxes, y_b.shape, cfg.max_iters,
+                                            cfg.tol, "admm")
+    # the loss block's dual estimate rho u_w is a subgradient of the loss at
+    # the fitted values, so -rho u_w estimates the dual point theta
+    gap, obj, _ = _certificate(g, a, y_b, c, cfg.lam, kernel.p, cfg.loss, -rho * u_w)
     meta = {
         "solver": "admm-regularized",
         "loss": cfg.loss,
         "lam": cfg.lam,
         "iterations": it,
-        "objective": _objective(g, a, c, y_b, cfg.lam, kernel.p, cfg.loss),
+        "objective": obj,
+        "gap": gap,
         "primal_residual": r,
         "dual_residual": s,
         "rho": rho,
@@ -423,23 +567,23 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
                     cfg: LearnConfig) -> FitModel:
     """Regularized multi-task fit over expansions at the sampling sites.
 
-    Squared loss runs accelerated proximal gradient with adaptive restart
-    (step 1/L from 100 power iterations); absolute loss reuses the ADMM
-    machinery with the loss proximal map.
+    Squared loss runs the working-set Newton solver (_working_set_fit),
+    which returns only when its duality gap (_certificate) is at most
+    max(tol, 64 eps) max(1, objective), and raises NonconvergenceError
+    after max_iters Newton steps; absolute loss runs ADMM (fit_admm).
     """
     if cfg.loss == "absolute":
         return fit_admm(kernel, x, y, cfg)
     g, a = _design(kernel, x, y)
-    c, trace, iters, change = _fista(g, a, y.blocks, cfg.lam, kernel.p,
-                                     cfg.max_iters, cfg.tol)
+    c, steps, obj, gap = _working_set_fit(g, a, y.blocks, cfg.lam, kernel.p,
+                                          cfg.max_iters, cfg.tol)
     meta = {
-        "solver": "fista",
+        "solver": "working-set-newton",
         "loss": cfg.loss,
         "lam": cfg.lam,
-        "iterations": iters,
-        "objective": trace[-1],
-        "residual": change,
-        "_objective_trace": trace,
+        "iterations": steps,
+        "objective": obj,
+        "gap": gap,
     }
     return _make_model(kernel, x, c, meta)
 

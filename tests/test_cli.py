@@ -80,7 +80,8 @@ def test_fit_big_lambda_zeroes(tmp_path):
     assert rc == 0
     data = json.load(open(out))
     assert all(v == 0.0 for block in data["coeffs"] for v in block)
-    assert data["meta"]["solver"] == "fista"
+    assert data["meta"]["solver"] == "working-set-newton"
+    assert data["meta"]["gap"] == 0.0
 
 
 def test_fit_lambda_grid_path(tmp_path):
@@ -357,7 +358,7 @@ def _run_reading(tmp_path, name, text):
     points and model.  Returns (exit code, stderr, output path)."""
     paths = {}
     for file, body in dict(_GOOD_INPUTS, **{name: text}).items():
-        (tmp_path / file).write_text(body, encoding="utf-8")
+        (tmp_path / file).write_bytes(body if isinstance(body, bytes) else body.encode())
         paths[file] = str(tmp_path / file)
     if name in ("points.csv", "model.json"):
         argv = ["predict", "--model", paths["model.json"], "--points", paths["points.csv"]]
@@ -391,10 +392,17 @@ _DEEP_JSON = "[" * 200_000 + "]" * 200_000
     ("points.csv", "x\n0.5\n" + "1" * 131_073 + "\n", "row 3: field larger than field limit"),
     ("model.json", _DEEP_JSON, "JSON nested too deeply to parse"),
     ("kernel.json", _DEEP_JSON, "JSON nested too deeply to parse"),
+    ("data.csv", b"x,y1\n0.5,1\xff\n", "not UTF-8 text (invalid start byte)"),
+    ("points.csv", b"x\n0.5\n\xc3\n", "not UTF-8 text"),
+    ("model.json", '{"centers":\n', "not JSON: Expecting value: line 2 column 1"),
+    ("kernel.json", b'{"family": "\xff"}', "not JSON: 'utf-8' codec can't decode"),
 ], ids=["training cell past the field limit", "coupling cell past the field limit",
-        "points cell past the field limit", "deep model JSON", "deep kernel JSON"])
+        "points cell past the field limit", "deep model JSON", "deep kernel JSON",
+        "training CSV not UTF-8", "points CSV not UTF-8", "truncated model JSON",
+        "kernel JSON not UTF-8"])
 def test_parser_failures_exit_1_naming_the_file(tmp_path, name, text, fragment):
-    # the parent raised _csv.Error or RecursionError out of cli.run
+    # each parser error (_csv.Error, RecursionError, UnicodeDecodeError,
+    # JSONDecodeError) is reported as a DataFormatError naming the file
     rc, err, out = _run_reading(tmp_path, name, text)
     assert rc == 1, err
     assert err.startswith(f"error: DataFormatError: {tmp_path / name}: {fragment}"), err
