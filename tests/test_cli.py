@@ -107,7 +107,7 @@ def test_fit_absolute_loss(tmp_path):
               "--p", "1", "--coupling", "identity:1", "--lambda", "0.1",
               "--loss", "absolute", "--out", out])
     assert rc == 0
-    assert json.load(open(out))["meta"]["solver"] == "admm-regularized"
+    assert json.load(open(out))["meta"]["solver"] == "working-set-newton"
 
 
 def test_pursuit_command(tmp_path):
@@ -352,9 +352,10 @@ _GOOD_INPUTS = {"data.csv": "x,y1\n0.2,1.0\n0.6,2.0\n", "coupling.csv": "1.0\n",
                 "kernel.json": json.dumps(_KERNEL)}
 
 
-def _run_reading(tmp_path, name, text):
+def _run_reading(tmp_path, name, text, fit_loss=None):
     """Run the command that reads the file `name` holding text, the other
-    files valid: interpolate for data, coupling and kernel, predict for
+    files valid: interpolate for data, coupling and kernel, or, given
+    fit_loss, fit for data and coupling at 20 Newton steps; predict for
     points and model.  Returns (exit code, stderr, output path)."""
     paths = {}
     for file, body in dict(_GOOD_INPUTS, **{name: text}).items():
@@ -367,6 +368,8 @@ def _run_reading(tmp_path, name, text):
     else:
         argv = ["interpolate", "--kernel", "tfamily", "--t", "1", "--coupling",
                 paths["coupling.csv"], "--data", paths["data.csv"]]
+        if fit_loss is not None:
+            argv = ["fit", *argv[1:], "--lambda", "0.1", "--loss", fit_loss, "--max-iters", "20"]
     out = tmp_path / "out"
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
@@ -435,11 +438,14 @@ _CSV_TEXT = st.text() | st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=5).m
 
 
 @settings(max_examples=200)
-@given(name=st.sampled_from(["data.csv", "coupling.csv", "points.csv"]), text=_CSV_TEXT)
-@example(name="data.csv", text="0\x0c0")
-def test_any_csv_text_exits_cleanly(name, text):
+@given(name=st.sampled_from(["data.csv", "coupling.csv", "points.csv"]), text=_CSV_TEXT,
+       fit_loss=st.sampled_from([None, "squared", "absolute"]))
+@example(name="data.csv", text="0\x0c0", fit_loss=None)
+@example(name="data.csv", text="x,y1\n0.2,1\n0.5,-2\n0.8,0.5", fit_loss="absolute")
+def test_any_csv_text_exits_cleanly(name, text, fit_loss):
+    # a fit may also exit 2, on its small Newton budget
     with tempfile.TemporaryDirectory() as tmp:
-        _assert_clean_exit(*_run_reading(Path(tmp), name, text))
+        _assert_clean_exit(*_run_reading(Path(tmp), name, text, fit_loss))
 
 
 _JSON_FIELDS = ["kernel", "centers", "coeffs", "p", "norm_lp1", "meta", "family", "t",
@@ -538,7 +544,7 @@ def test_math_failure_exit_code(tmp_path, capsys):
               "--p", "2", "--coupling", "identity:1", "--loss", "absolute", "--lambda", "0.1",
               "--max-iters", "2", "--out", str(tmp_path / "m3.json")])
     assert rc == 2
-    assert "NonconvergenceError: admm residuals" in capsys.readouterr().err
+    assert "NonconvergenceError: newton gap" in capsys.readouterr().err
     assert not (tmp_path / "m3.json").exists()
 
 

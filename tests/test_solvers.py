@@ -475,17 +475,21 @@ def test_fit_certified_across_kernels(spec, p):
         assert model.meta["objective"] <= admm.meta["objective"] * (1.0 + 1e-14)
 
 
+def pinned_set(set_id, m):
+    """A solvers-m400 benchmark data set: one site in the middle half of
+    each of m cells of (0, 1), noisy smooth two-task data."""
+    rng = np.random.default_rng([0, set_id])
+    x = (np.arange(m) + 0.25 + 0.5 * rng.random(m)) / m
+    y = np.stack([np.sin(2 * math.pi * x), np.cos(3 * math.pi * x)], axis=1)
+    return x, y + 0.05 * rng.standard_normal((m, 2))
+
+
 def test_fit_pinned_m400_is_optimal():
-    # the solvers-m400 benchmark fit: wendland, identity:2 coupling, p = 2,
-    # one site in the middle half of each of 400 cells, noisy smooth data.
+    # the solvers-m400 benchmark fit: wendland, identity:2 coupling, p = 2.
     # Accelerated proximal gradient stopped on a relative objective change
     # of 1e-10 ends at gap 1.7e-2, objective 1.2845074419 and 168 nonzero
     # blocks; ADMM certifies 1.2790932705 with 37
-    rng = np.random.default_rng([0, 1])
-    m = 400
-    x = (np.arange(m) + 0.25 + 0.5 * rng.random(m)) / m
-    y = np.stack([np.sin(2 * math.pi * x), np.cos(3 * math.pi * x)], axis=1)
-    y = y + 0.05 * rng.standard_normal((m, 2))
+    x, y = pinned_set(1, 400)
     K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=2)
     model = fit_regularized(K, x, BlockVector(y, 2), LearnConfig(lam=0.01))
     g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
@@ -495,6 +499,118 @@ def test_fit_pinned_m400_is_optimal():
     assert model.meta["gap"] <= 1e-10 * max(1.0, primal)
     assert primal == pytest.approx(1.2790932705, rel=1e-9)
     assert int((block_norms(c, 2.0) > 0).sum()) <= 37
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_absolute_fit_m50_certifies(p):
+    # the solvers-m400 benchmark's absolute-loss fit (wendland, identity:2,
+    # lam = 0.1, 50 sites).  ADMM takes 38,026 iterations for p = 2 and
+    # needs 544,826 for p = 1, so at the default budget of 100,000 it
+    # raised NonconvergenceError there
+    x, y = pinned_set(2, 50)
+    K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=p)
+    model = fit_regularized(K, x, BlockVector(y, p), LearnConfig(lam=0.1, loss="absolute"))
+    g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
+    c = model.coeffs.blocks
+    primal = float(np.abs(y - g @ c).sum()) + 0.1 * float(block_norms(c, p).sum())
+    assert model.meta["solver"] == "working-set-newton"
+    assert model.meta["objective"] == pytest.approx(primal, rel=1e-12)
+    assert model.meta["gap"] <= 1e-10 * max(1.0, primal)
+    if p == 2.0:
+        assert primal == pytest.approx(6.4768365235, rel=1e-9)
+
+
+def lp_absolute_fit(g, A, y, lam):
+    """Objective at the coefficients of the p = 1 absolute-loss fit solved
+    as a linear program over (C, t >= |Y - G C A|, s >= |C|) by HiGHS."""
+    k, n = g.shape[1], y.shape[1]
+    jac = np.kron(g, A.T)  # vec(G C A) = jac vec(C), row-major
+    rows, cols = jac.shape
+    eye_r, eye_c = np.eye(rows), np.eye(cols)
+    zero_rc, zero_cr = np.zeros((rows, cols)), np.zeros((cols, rows))
+    a_ub = np.block([[jac, -eye_r, zero_rc], [-jac, -eye_r, zero_rc],
+                     [eye_c, zero_cr, -eye_c], [-eye_c, zero_cr, -eye_c]])
+    b_ub = np.concatenate([y.ravel(), -y.ravel(), np.zeros(2 * cols)])
+    cost = np.concatenate([np.zeros(cols), np.ones(rows), lam * np.ones(cols)])
+    res = scipy.optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(None, None),
+                                 method="highs")
+    assert res.status == 0, res.message
+    c = res.x[:cols].reshape(k, n)
+    return float(np.abs(y - g @ c @ A).sum()) + lam * float(np.abs(c).sum())
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("spec", _COVERAGE_SPECS,
+                         ids=["wendland", "tfamily", "exponential", "combination", "rank2"])
+def test_absolute_fit_certified_across_kernels(spec, p):
+    # lam as a fraction of the absolute loss's zero threshold, the largest
+    # dual norm of sign(Y); p = 1 is a linear program, checked by HiGHS
+    rng = np.random.default_rng(95 + int(p))
+    for frac in (0.05, 0.3, 0.7):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(6, 16))
+        K = gk.OperatorKernel(spec, random_coupling(n, rng), p=p)
+        x = shuffled_sites(*spec.domain, m, rng)
+        y = rng.standard_normal((m, n))
+        g = gk.kernels.scalar_values(spec, x[:, None], x[None, :])
+        A = K.coupling.A
+        lam = frac * float(block_norms(g @ np.sign(y) @ A, K.q).max())
+        cfg = LearnConfig(lam=lam, loss="absolute")
+        model = fit_regularized(K, x, BlockVector(y, p), cfg)
+        c = model.coeffs.blocks
+        primal = float(np.abs(y - g @ c @ A).sum()) + lam * float(block_norms(c, p).sum())
+        gap = model.meta["gap"]
+        assert model.meta["solver"] == "working-set-newton"
+        assert 0.0 <= gap <= cfg.tol * max(1.0, primal)
+        assert model.meta["objective"] == pytest.approx(primal, rel=1e-12)
+        if p == 1.0:
+            assert abs(primal - lp_absolute_fit(g, A, y, lam)) <= gap
+            continue
+        try:
+            admm = fit_admm(K, x, BlockVector(y, p),
+                            LearnConfig(lam=lam, loss="absolute", tol=1e-11, max_iters=20_000))
+        except NonconvergenceError:
+            continue
+        assert primal <= admm.meta["objective"] * (1.0 + 1e-9)
+
+
+def test_fit_certifies_at_the_rounding_floor():
+    # small lam on well-conditioned Grams, tol = 1e-14: the certificate's
+    # own rounding, eps ||C||_{p,1} |G| (|Y| + |G| |C|), reaches 1e-13 and
+    # exceeded the fixed floor 64 eps max(1, P), so these fits raised
+    # NonconvergenceError with KKT violations of 1e-13 at the polish
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        p = float(rng.choice([1.0, 2.0]))
+        K = gk.OperatorKernel(gk.tfamily(0.5), gk.TaskCoupling.identity(2), p=p)
+        x = shuffled_sites(0.0, 1.0, 8, rng)
+        y = rng.standard_normal((8, 2))
+        g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
+        lam = 0.01 * float(block_norms(g @ y, K.q).max())
+        model = fit_regularized(K, x, BlockVector(y, p), LearnConfig(lam=lam, tol=1e-14))
+        c = model.coeffs.blocks
+        gap, primal = dual_gap(g, np.eye(2), y, c, lam, p, y - g @ c)
+        assert model.meta["gap"] <= 1e-11 * max(1.0, primal)
+        assert gap <= 1e-11 * max(1.0, primal)
+
+
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+def test_fit_on_overflowing_data_raises(loss):
+    # at 1e200 the squared loss overflows: the fit returned with objective
+    # and gap inf, since inf <= inf; the absolute-loss rounds took no step,
+    # so the dropped blocks re-entered round after round without end
+    y = BlockVector(np.full((3, 2), 1e200), 2)
+    with np.errstate(all="ignore"), pytest.raises(NonconvergenceError):
+        fit_regularized(EXP2, [-1.0, 0.0, 1.0], y, LearnConfig(lam=0.1, loss=loss))
+
+
+def test_rounding_floor_never_certifies_above_floor_max():
+    # at 1e150 the residual's rounding swamps lam, so the certificate's
+    # rounding floor is about the objective itself: capped at FLOOR_MAX
+    # relative, it cannot turn a gap equal to P into a certified fit
+    y = BlockVector(np.full((3, 2), 1e150), 2)
+    with np.errstate(all="ignore"), pytest.raises(NonconvergenceError):
+        fit_regularized(EXP2, [-1.0, 0.0, 1.0], y, LearnConfig(lam=0.1, tol=1e-14))
 
 
 def test_fit_budget_exhausted_raises():
@@ -518,7 +634,7 @@ def test_admm_fit_reports_a_valid_gap(loss):
     y = BlockVector(rng.standard_normal((3, 2)), 2)
     cfg = LearnConfig(lam=0.3, loss=loss, tol=1e-11, max_iters=200_000)
     model = fit_admm(K, x, y, cfg)
-    best = fit_regularized(K, x, y, LearnConfig(lam=0.3)) if loss == "squared" else model
+    best = fit_regularized(K, x, y, LearnConfig(lam=0.3, loss=loss))
     # a duality gap bounds the distance to the optimum from above
     assert model.meta["objective"] - best.meta["objective"] <= model.meta["gap"] + 1e-15
     assert 0.0 <= model.meta["gap"] <= 1e-8 * max(1.0, model.meta["objective"])
