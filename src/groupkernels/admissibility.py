@@ -2,12 +2,14 @@
 
 a1 (invertible Grams) and a2 (uniform boundedness) are probed by seeded
 sampling; a4 (the interpolation stability constant bounded by 1) is
-scanned over random center sets.  For the builtin families the supremum
-over queries of each set is exact (see _breakpoint_sup); custom kernels
-get a nested query grid with local refinement.  a3 (independence of
-infinite expansions) cannot be falsified by finite computation; for
-product kernels with a strictly positive definite scalar factor it is
-reported as implied by that structure.
+scanned over random center sets, batched per set size: one stacked Gram,
+Cholesky, SVD and solve for all the sets of a size, every Gram held to
+the singularity rule.  For the builtin families the supremum over queries
+of each set is exact (see _breakpoint_sup); custom kernels get a nested
+query grid with golden-section refinement, in lockstep over the sets.  a3
+(independence of infinite expansions) cannot be falsified by finite
+computation; for product kernels with a strictly positive definite scalar
+factor it is reported as implied by that structure.
 
 Certification is evidence, not proof: every report records the probe
 budget so a "pass" claim is scoped to it.
@@ -21,9 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from .blocklinalg import GramSystem, coupling_opnorm, gram_assemble, solve_factored
-from .errors import DomainError, OrderError, ShapeError, SingularError
-from .gridsearch import refine_max, vdc_points
+from .blocklinalg import coupling_opnorm, gram_assemble, nonsingular
+from .errors import DomainError, DuplicateCenterError, OrderError, ShapeError, SingularError
+from .gridsearch import refine_max_rows, vdc_points
 from .kernels import (
     BUILTIN_FAMILIES,
     OperatorKernel,
@@ -146,29 +148,39 @@ def _trial_rng(seed: int, m: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
 
 
-def _center_sets(kernel: OperatorKernel, cfg: CertificationConfig):
+def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
+    """(m, X, G, s, ok) for m = 1..cfg.max_centers: X stacks the cfg.trials
+    seeded sets of m centers, checked as validate_centers checks one set;
+    G holds their Grams, s the singular values of each (as np.linalg.cond
+    takes them) and ok which pass the singularity rule."""
     lo, hi = _require_bounded(kernel)
     for m in range(1, cfg.max_centers + 1):
-        for trial in range(cfg.trials):
-            rng = _trial_rng(cfg.seed, m, trial)
-            yield m, trial, sample_centers(lo, hi, m, rng)
+        X = np.array([sample_centers(lo, hi, m, _trial_rng(cfg.seed, m, trial))
+                      for trial in range(cfg.trials)])
+        require_in_domain(kernel.scalar, X, what="center")
+        if not (np.diff(X, axis=1) > 0).all():
+            raise DuplicateCenterError("centers must be pairwise distinct")
+        G = scalar_values(kernel.scalar, X[:, :, None], X[:, None, :])
+        scale = np.abs(G).max(axis=(1, 2))
+        # a non-finite Gram fails the rule anyway; LAPACK would refuse its SVD
+        s = np.linalg.svd(np.where(np.isfinite(scale)[:, None, None], G, 0.0), compute_uv=False)
+        yield m, X, G, s, nonsingular(s.min(axis=1), scale)
 
 
-def _stability_values(system: GramSystem, kernel: OperatorKernel,
-                      centers: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """sum_i |b_i| with G[x] b = G_x(query), vectorized over queries.
+def _stability_values(kernel: OperatorKernel, X: np.ndarray, G: np.ndarray,
+                      Q: np.ndarray) -> np.ndarray:
+    """sum_i |b_i| with G[x] b = G_x(query) for each center set (a row of X,
+    its Gram in G) at its queries (a row of Q, or one row shared by all
+    sets), by one stacked solve.
 
     For product kernels this is the exact grouped operator norm of
     K[x]^{-1} K_x(query) for every p: the coupling cancels and the column
     blocks are b_i times the identity.  A query colliding exactly with a
     center yields exactly 1 (b is a standard basis vector).
     """
-    g = scalar_values(kernel.scalar, queries[None, :], centers[:, None])
-    b = solve_factored(system, g)
-    vals = np.abs(b).sum(axis=0)
-    # a k-by-m comparison: for a handful of centers np.isin costs more
-    # than the solve itself
-    vals[(queries[:, None] == centers[None, :]).any(axis=1)] = 1.0
+    g = scalar_values(kernel.scalar, Q[:, None, :], X[:, :, None])
+    vals = np.abs(np.linalg.solve(G, g)).sum(axis=1)
+    vals[(Q[:, :, None] == X[:, None, :]).any(axis=2)] = 1.0
     return vals
 
 
@@ -177,18 +189,12 @@ def lebesgue_at(kernel: OperatorKernel, centers, query: float) -> float:
     system = gram_assemble(kernel, centers)
     arr = np.atleast_1d(np.asarray(centers, dtype=float))
     q = float(require_in_domain(kernel.scalar, query, what="query"))
-    return float(_stability_values(system, kernel, arr, np.array([q]))[0])
+    return float(_stability_values(kernel, arr[None], system.G[None], np.array([[q]]))[0, 0])
 
 
-def _inward_endpoints(kernel: OperatorKernel) -> np.ndarray:
-    """The floats nearest the two domain endpoints, inside the open domain."""
-    lo, hi = kernel.scalar.domain
-    return np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
-
-
-def _breakpoint_sup(kernel: OperatorKernel, system: GramSystem, centers: np.ndarray):
+def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Exact per-set supremum of the stability value for the builtin
-    families.  Returns (worst, query), worst computed at query.
+    families.  Returns (worst, query) per set, worst computed at query.
 
     With lo < x_1 < ... < x_m < hi, Lambda(q) = sum_i |b_i(q)| is convex
     on every segment between consecutive breakpoints lo, x_1, ..., x_m, hi:
@@ -215,77 +221,74 @@ def _breakpoint_sup(kernel: OperatorKernel, system: GramSystem, centers: np.ndar
     lebesgue_at reproduces the reported value: like it, each end gets a
     one-column solve (LAPACK may round a two-column solve differently).
     """
-    ends = _inward_endpoints(kernel)
-    vals = [_stability_values(system, kernel, centers, np.array([q]))[0] for q in ends]
-    k = int(np.argmax(vals))
-    if vals[k] > 1.0:
-        return float(vals[k]), float(ends[k])
-    return 1.0, float(centers[0])
+    vals = np.hstack([_stability_values(kernel, X, G, np.array([[q]])) for q in ends])
+    k = vals.argmax(axis=1)
+    top = vals[np.arange(len(X)), k]
+    over = top > 1.0
+    return np.where(over, top, 1.0), np.where(over, ends[k], X[:, 0])
 
 
-def _grid_sup(kernel: OperatorKernel, system: GramSystem, centers: np.ndarray,
-              probes: np.ndarray):
-    """Sampled per-set supremum for custom kernels: the probes (nested
-    grid plus the inward domain endpoints) with golden refinement around
-    the best of them.  Returns (worst, query)."""
+def _grid_sup(kernel: OperatorKernel, probes: np.ndarray, X: np.ndarray, G: np.ndarray):
+    """Sampled per-set supremum for custom kernels, (worst, query) per set:
+    the probes (nested grid plus the inward domain endpoints) with golden
+    refinement around the best of them, in lockstep over the sets."""
     lo, hi = kernel.scalar.domain
-    vals = _stability_values(system, kernel, centers, probes)
-
-    def value_at(q):
-        return float(_stability_values(system, kernel, centers, np.array([q]))[0])
-
-    qx, qv = refine_max(value_at, probes, vals, lo, hi, iters=REFINE_ITERS)
-    k = int(np.argmax(vals))
-    if vals[k] >= qv:
-        return float(vals[k]), float(probes[k])
-    return qv, qx
+    vals = _stability_values(kernel, X, G, probes[None, :])
+    query, worst = refine_max_rows(lambda q: _stability_values(kernel, X, G, q[:, None])[:, 0],
+                                   probes, vals, lo, hi, iters=REFINE_ITERS)
+    return worst, query
 
 
-def _per_set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
+def _set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
     """The scan method for this kernel and its per-set supremum as a
-    function (system, centers) -> (worst, query)."""
-    if kernel.scalar.family in BUILTIN_FAMILIES:
-        return "breakpoint-exact", partial(_breakpoint_sup, kernel)
+    function (X, G) -> (worst, query), one entry per center set."""
     lo, hi = _require_bounded(kernel)
-    # computed once per scan: the grid is the same for every center set
-    probes = np.concatenate([vdc_points(lo, hi, cfg.grid_size), _inward_endpoints(kernel)])
-    return "grid-golden", partial(_grid_sup, kernel, probes=probes)
+    # the floats nearest the domain endpoints, inside the open domain
+    ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
+    if kernel.scalar.family in BUILTIN_FAMILIES:
+        return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends)
+    probes = np.concatenate([vdc_points(lo, hi, cfg.grid_size), ends])
+    return "grid-golden", partial(_grid_sup, kernel, probes)
 
 
 def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig,
-               singular: list | None = None, on_gram=None) -> ScanResult:
+               a1: dict | None = None) -> ScanResult:
     """Worst stability value over seeded random center sets of every size
-    up to cfg.max_centers: the one center-set loop behind lebesgue_scan
-    and certify.
-
-    A singular Gram raises SingularError with the offending centers
-    attached or, when a `singular` list is given, is appended to it and
-    skipped.  on_gram, if given, sees every assembled GramSystem.
-    """
-    method, set_sup = _per_set_sup(kernel, cfg)
+    up to cfg.max_centers, batched per size: the one scan behind
+    lebesgue_scan and certify.  A Gram failing the singularity rule raises
+    SingularError with its centers attached or, given an a1 record, is
+    listed under its "singular" and skipped; a1 also gets the other Grams'
+    worst condition number and whether Cholesky accepted all of them."""
+    method, set_sup = _set_sup(kernel, cfg)
     worst, worst_c, worst_q = -math.inf, None, None
     rows = []
-    for m, trial, centers in _center_sets(kernel, cfg):
-        try:
-            system = gram_assemble(kernel, centers)
-        except SingularError as exc:
-            if singular is None:
-                raise SingularError(str(exc), centers=centers) from None
-            singular.append([float(v) for v in centers])
-            continue
-        if on_gram is not None:
-            on_gram(system)
-        val, query = set_sup(system, centers)
-        rows.append((m, trial, val))
-        if val > worst:
-            worst, worst_c, worst_q = val, centers, query
+    for m, X, G, s, ok in _center_stacks(kernel, cfg):
+        if not ok.all():
+            if a1 is None:
+                raise SingularError("Gram matrix is numerically singular",
+                                    centers=X[np.argmin(ok)])
+            a1["singular"].extend(X[~ok].tolist())
+            if not ok.any():
+                continue
+        X, G = X[ok], G[ok]
+        if a1 is not None:
+            a1["worst_cond"] = max(a1["worst_cond"], float((s[ok, 0] / s[ok, -1]).max()))
+            try:  # one stacked call, which raises unless every Gram is numerically SPD
+                a1["cholesky_ok"] &= bool(np.isfinite(np.linalg.cholesky(G)).all())
+            except np.linalg.LinAlgError:
+                a1["cholesky_ok"] = False
+        vals, queries = set_sup(X, G)
+        rows.extend(zip([m] * len(vals), np.flatnonzero(ok).tolist(), vals.tolist()))
+        # the first set attaining the size's maximum, as a sequential scan finds it
+        k = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
+        if vals[k] > worst:
+            worst, worst_c, worst_q = float(vals[k]), X[k], float(queries[k])
     return ScanResult(worst=worst, centers=worst_c, query=worst_q, method=method, rows=rows)
 
 
 def lebesgue_scan(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
     """Worst stability value over seeded random center sets of every size
-    up to cfg.max_centers.  SingularError propagates with the offending
-    center set attached."""
+    up to cfg.max_centers; SingularError carries the offending centers."""
     return _scan_sets(kernel, cfg)
 
 
@@ -308,18 +311,11 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     Failures become report entries, never exceptions: singular center
     sets are recorded under a1 and excluded from the a4 scan.
     """
-    cond_a = float(np.linalg.cond(kernel.coupling.A))
-    worst_cond = 0.0
-    cholesky_ok = True
-
-    def record_gram(system):
-        nonlocal worst_cond, cholesky_ok
-        worst_cond = max(worst_cond, float(np.linalg.cond(system.G)) * cond_a)
-        cholesky_ok = cholesky_ok and system.kind == "cholesky"
-
-    singular: list[list[float]] = []
-    scan = _scan_sets(kernel, cfg, singular=singular, on_gram=record_gram)
-    worst, rows = scan.worst, scan.rows
+    a1 = {"worst_cond": 0.0, "singular": [], "cholesky_ok": True}
+    scan = _scan_sets(kernel, cfg, a1)
+    # max_i fl(cond_i * cond_A) is fl(max_i cond_i * cond_A): rounding is monotone
+    a1["worst_cond"] *= float(np.linalg.cond(kernel.coupling.A))
+    worst, rows, singular = scan.worst, scan.rows, a1["singular"]
 
     gmax = _a2_sample(kernel, cfg)
     opnorm = coupling_opnorm(kernel.coupling.A, kernel.p)
@@ -328,8 +324,6 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     kappa_analytic = None if bound is None else bound * opnorm
     kappa = kappa_sampled if kappa_analytic is None else max(kappa_sampled, kappa_analytic)
 
-    scanned_any = bool(rows)
-    a1 = {"worst_cond": worst_cond, "singular": singular, "cholesky_ok": cholesky_ok}
     a2 = {
         "kappa": kappa,
         "kappa_sampled": kappa_sampled,
@@ -340,7 +334,7 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     sampled = scan.method == "grid-golden"
     a2_ok = bound is None or gmax <= bound * (1.0 + 1e-12) + cfg.tolerance
     # no surviving center set means no stability evidence at all
-    a4_ok = scanned_any and worst <= 1.0 + cfg.tolerance
+    a4_ok = bool(rows) and worst <= 1.0 + cfg.tolerance
     verdict = {
         "a1": "pass" if not singular else "fail",
         "a2": "pass" if a2_ok else "fail",

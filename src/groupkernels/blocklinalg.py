@@ -30,13 +30,20 @@ from .kernels import (
 PIVOT_RTOL = 1e-12
 
 
+def nonsingular(s_min, scale):
+    """The one singularity rule, elementwise: true where 0 < scale < inf
+    and the smallest singular value s_min (the 2-norm distance to the
+    nearest singular matrix) is at least PIVOT_RTOL * scale.  scale is
+    the size of the terms the matrix was formed from, so cancellation in
+    forming it counts."""
+    return (0.0 < scale) & (scale < math.inf) & (s_min >= PIVOT_RTOL * scale)
+
+
 def _require_nonsingular(A: np.ndarray, scale: float, what: str) -> None:
-    """The one singularity rule: SingularError unless 0 < scale < inf and the
-    smallest singular value of A (its 2-norm distance to the nearest
-    singular matrix) is at least PIVOT_RTOL * scale.  scale is the size of
-    the terms A was formed from, so cancellation in forming A counts."""
+    """SingularError unless A passes the singularity rule; no SVD is taken
+    when scale is not finite."""
     if not (0.0 < scale < math.inf
-            and np.linalg.svd(A, compute_uv=False).min() >= PIVOT_RTOL * scale):
+            and nonsingular(np.linalg.svd(A, compute_uv=False).min(), scale)):
         raise SingularError(f"{what} is numerically singular")
 
 

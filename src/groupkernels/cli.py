@@ -319,7 +319,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        # numpy would print a RuntimeWarning line for an overflow before the
+        # one error line; the commands check their results for non-finite values
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -27,38 +27,44 @@ def vdc_points(lo: float, hi: float, size: int) -> np.ndarray:
     return lo + (hi - lo) * frac
 
 
-def golden_section_max(f, lo: float, hi: float, iters: int = 30):
-    """Golden-section maximization on [lo, hi]; returns the best probe seen."""
-    a, b = float(lo), float(hi)
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
+def refine_max_rows(f, probes: np.ndarray, values: np.ndarray, lo: float, hi: float,
+                    iters: int = 30):
+    """Golden-section maximization in lockstep over the rows of values (one
+    function's values at the probes per row), each bracketed by the
+    neighbours of its best probe; f maps one query per row to its value.
+    Returns (x, v) per row: the best point seen, or the first probe at
+    the row's maximum if that is at least as high."""
+    order = np.argsort(probes)
+    sorted_p = probes[order]
+    k = values[:, order].argmax(axis=1)
+    a = np.where(k > 0, sorted_p[k - 1], lo)
+    b = np.where(k + 1 < probes.size, sorted_p[np.minimum(k + 1, probes.size - 1)], hi)
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
+    up = fc >= fd
+    x, v = np.where(up, c, d), np.where(up, fc, fd)  # the better interior point
+    best_x, best_v = x, v
     for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-        x, v = (c, fc) if fc >= fd else (d, fd)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+        # x stays inside the bracket, which shrinks to [a, d] or to [c, b]
+        a, b = np.where(up, a, c), np.where(up, d, b)
+        new_x = np.where(up, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        new_v = f(new_x)
+        c, fc = np.where(up, new_x, x), np.where(up, new_v, v)
+        d, fd = np.where(up, x, new_x), np.where(up, v, new_v)
+        up = fc >= fd
+        x, v = np.where(up, c, d), np.where(up, fc, fd)
+        better = v > best_v
+        best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
+    j = values.argmax(axis=1)
+    top = values[np.arange(j.size), j]
+    keep = top >= best_v
+    return np.where(keep, probes[j], best_x), np.where(keep, top, best_v)
 
 
 def refine_max(f, probes: np.ndarray, values: np.ndarray, lo: float, hi: float,
                iters: int = 30):
-    """Golden-section refinement bracketing the best probe by its neighbors."""
-    order = np.argsort(probes)
-    sorted_p = probes[order]
-    sorted_v = values[order]
-    k = int(np.argmax(sorted_v))
-    left = sorted_p[k - 1] if k > 0 else lo
-    right = sorted_p[k + 1] if k + 1 < sorted_p.size else hi
-    x, v = golden_section_max(f, left, right, iters=iters)
-    if sorted_v[k] >= v:
-        return float(sorted_p[k]), float(sorted_v[k])
-    return float(x), float(v)
+    """refine_max_rows for one function: f maps a query to its value, and
+    the result (x, v) is a pair of floats."""
+    x, v = refine_max_rows(lambda q: np.array([f(q[0])]), probes, values[None, :], lo, hi,
+                           iters=iters)
+    return float(x[0]), float(v[0])

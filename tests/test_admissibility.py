@@ -1,5 +1,6 @@
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import scipy.optimize
 import groupkernels as gk
 from groupkernels.admissibility import (
     CertificationConfig,
-    _center_sets,
-    _per_set_sup,
+    _center_stacks,
+    _set_sup,
     certify,
     det_tfamily_closed_form,
     lebesgue_at,
@@ -330,13 +331,22 @@ def _dense_oracle(spec, centers, grid_size=20_000):
 def test_breakpoint_sup_dominates_dense_oracle(name, spec):
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
     cfg = CertificationConfig(max_centers=6, trials=20, seed=11)
-    method, set_sup = _per_set_sup(K, cfg)
+    method, set_sup = _set_sup(K, cfg)
     assert method == "breakpoint-exact"
-    for _, _, centers in _center_sets(K, cfg):  # 120 seeded sets
-        worst, query = set_sup(gram_assemble(K, centers), centers)
-        assert _dense_oracle(spec, centers) <= worst + 1e-10
-        # the reported value is the one computed at the witness
-        assert lebesgue_at(K, centers, query) == worst
+    sets = {}
+    for m, X, G, *_ in _center_stacks(K, cfg):  # 6 stacks of 20 seeded sets
+        sets[m] = X
+        for centers, worst, query in zip(X, *set_sup(X, G), strict=True):
+            assert _dense_oracle(spec, centers) <= worst + 1e-10
+            # the reported value is the one computed at the witness
+            assert lebesgue_at(K, centers, query) == worst
+    # every row of the scan is the larger of 1 and the values at the floats
+    # nearest the domain endpoints, inside the domain
+    lo, hi = spec.domain
+    ends = (np.nextafter(lo, hi), np.nextafter(hi, lo))
+    for m, trial, val in lebesgue_scan(K, cfg).rows:
+        centers = sets[m][trial]
+        assert val == max(1.0, *(lebesgue_at(K, centers, q) for q in ends))
 
 
 @pytest.mark.parametrize("t", [-1.0, -0.5])
@@ -349,7 +359,9 @@ def test_negative_t_scan_rows_match_closed_form(t):
     res = lebesgue_scan(K, cfg)
     assert res.method == "breakpoint-exact"
     s = -t
-    for (m, trial, val), (m2, trial2, centers) in zip(res.rows, _center_sets(K, cfg), strict=True):
+    sets = [(m, trial, centers) for m, X, *_ in _center_stacks(K, cfg)
+            for trial, centers in enumerate(X)]
+    for (m, trial, val), (m2, trial2, centers) in zip(res.rows, sets, strict=True):
         assert (m, trial) == (m2, trial2)
         closed = (1.0 + s) / (1.0 + s * centers[-1])
         assert abs(val - closed) <= 1e-12 * closed
@@ -360,9 +372,26 @@ def test_grid_scan_probes_domain_endpoints():
     # limit q -> 1, beyond the last grid point 0.998 of a 512-point grid
     spec = gk.custom(lambda x, y: np.minimum(x, y) + x * y, domain=(0.0, 1.0))
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
-    method, set_sup = _per_set_sup(K, CertificationConfig(grid_size=512))
+    method, set_sup = _set_sup(K, CertificationConfig(grid_size=512))
     assert method == "grid-golden"
     centers = np.array([0.5, 0.9995])
-    worst, query = set_sup(gram_assemble(K, centers), centers)
+    (worst,), (query,) = set_sup(centers[None], gram_assemble(K, centers).G[None])
     assert abs(worst - 2.0 / 1.9995) <= 1e-12
     assert lebesgue_at(K, centers, query) == worst
+
+
+def test_scan_holds_every_gram_to_the_singularity_rule():
+    # Cholesky accepts these Grams, but their smallest singular value is below
+    # PIVOT_RTOL * max|G| (5.05e-17 at m = 6, trial 5): solving with them
+    # raised a bare LinAlgError out of certify
+    wide = gk.custom(lambda x, y: np.exp(-0.05 * (x - y) ** 2), domain=(0.0, 1.0))
+    K = gk.OperatorKernel(wide, gk.TaskCoupling.identity(1), p=2)
+    report = certify(K, CertificationConfig(seed=0))
+    assert report.verdict["a1"] == "fail"
+    assert Counter(len(c) for c in report.a1["singular"]) == {5: 63, 6: 199}
+    assert report.verdict["evidence"]["center_sets"] == 1200
+    first = np.array(report.a1["singular"][0])
+    np.linalg.cholesky(gk.kernels.scalar_values(wide, first[:, None], first[None, :]))
+    with pytest.raises(SingularError) as exc:
+        lebesgue_scan(K, CertificationConfig(seed=0))
+    assert exc.value.centers.tolist() == report.a1["singular"][0]

@@ -504,6 +504,25 @@ def test_cli_import_leaves_scipy_out():
     assert loaded == "[]"
 
 
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+def test_overflowing_fit_prints_one_error_line(tmp_path, loss):
+    # squares of values near 1e200 overflow: numpy printed three RuntimeWarnings
+    # (six lines) before the error line.  pytest records warnings instead of
+    # printing them, so the command runs in a fresh interpreter
+    data = tmp_path / "train.csv"
+    data.write_text("x,y1\n0.2,1e200\n0.5,-3e200\n0.8,2e200\n")
+    out = tmp_path / "fit.json"
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = ["fit", "--kernel", "tfamily", "--t", "0.5", "--coupling", "identity:1",
+            "--lambda", "0.1", "--loss", loss, "--data", str(data), "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "groupkernels.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    _assert_clean_exit(proc.returncode, proc.stderr, out)
+
+
 def test_wrong_column_count_vs_coupling(tmp_path, capsys):
     train = tmp_path / "train.csv"
     train.write_text("x,y1,y2\n0.5,1.0,2.0\n")
