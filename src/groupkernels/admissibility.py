@@ -58,19 +58,23 @@ class CertificationConfig:
     def __post_init__(self):
         if self.max_centers < 1 or self.grid_size < 1 or self.trials < 1:
             raise ValueError("max_centers, grid_size and trials must be >= 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass
 class ScanResult:
-    """Worst observed stability value with its witness and per-trial rows."""
+    """Worst observed stability value with its witness and per-trial rows,
+    and the a1 evidence of the scanned Grams."""
 
     worst: float
     centers: np.ndarray
     query: float
     method: str  # "breakpoint-exact" (builtin families) or "grid-golden"
     rows: list = field(default_factory=list)  # (m, trial, worst-per-set)
+    singular: list = field(default_factory=list)  # centers failing the singularity rule
+    worst_cond: float = 0.0  # of the other Grams
+    cholesky_ok: bool = True  # whether Cholesky accepted all the other Grams
 
     def a4_dict(self) -> dict:
         """The a4 section of a report; worst is None when no set was scanned."""
@@ -251,45 +255,40 @@ def _set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
     return "grid-golden", partial(_grid_sup, kernel, probes)
 
 
-def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig,
-               a1: dict | None = None) -> ScanResult:
+def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
     """Worst stability value over seeded random center sets of every size
     up to cfg.max_centers, batched per size: the one scan behind
-    lebesgue_scan and certify.  A Gram failing the singularity rule raises
-    SingularError with its centers attached or, given an a1 record, is
-    listed under its "singular" and skipped; a1 also gets the other Grams'
-    worst condition number and whether Cholesky accepted all of them."""
+    lebesgue_scan and certify.  A Gram failing the singularity rule lists
+    its centers under singular and is skipped."""
     method, set_sup = _set_sup(kernel, cfg)
-    worst, worst_c, worst_q = -math.inf, None, None
-    rows = []
+    scan = ScanResult(worst=-math.inf, centers=None, query=None, method=method)
     for m, X, G, s, ok in _center_stacks(kernel, cfg):
-        if not ok.all():
-            if a1 is None:
-                raise SingularError("Gram matrix is numerically singular",
-                                    centers=X[np.argmin(ok)])
-            a1["singular"].extend(X[~ok].tolist())
-            if not ok.any():
-                continue
+        scan.singular.extend(X[~ok].tolist())
+        if not ok.any():
+            continue
         X, G = X[ok], G[ok]
-        if a1 is not None:
-            a1["worst_cond"] = max(a1["worst_cond"], float((s[ok, 0] / s[ok, -1]).max()))
-            try:  # one stacked call, which raises unless every Gram is numerically SPD
-                a1["cholesky_ok"] &= bool(np.isfinite(np.linalg.cholesky(G)).all())
-            except np.linalg.LinAlgError:
-                a1["cholesky_ok"] = False
+        scan.worst_cond = max(scan.worst_cond, float((s[ok, 0] / s[ok, -1]).max()))
+        try:  # one stacked call, which raises unless every Gram is numerically SPD
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            scan.cholesky_ok = False
         vals, queries = set_sup(X, G)
-        rows.extend(zip([m] * len(vals), np.flatnonzero(ok).tolist(), vals.tolist()))
+        scan.rows.extend(zip([m] * len(vals), np.flatnonzero(ok).tolist(), vals.tolist()))
         # the first set attaining the size's maximum, as a sequential scan finds it
         k = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
-        if vals[k] > worst:
-            worst, worst_c, worst_q = float(vals[k]), X[k], float(queries[k])
-    return ScanResult(worst=worst, centers=worst_c, query=worst_q, method=method, rows=rows)
+        if vals[k] > scan.worst:
+            scan.worst, scan.centers, scan.query = float(vals[k]), X[k], float(queries[k])
+    return scan
 
 
 def lebesgue_scan(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
     """Worst stability value over seeded random center sets of every size
-    up to cfg.max_centers; SingularError carries the offending centers."""
-    return _scan_sets(kernel, cfg)
+    up to cfg.max_centers; SingularError carries the first singular set."""
+    scan = _scan_sets(kernel, cfg)
+    if scan.singular:
+        raise SingularError("Gram matrix is numerically singular",
+                            centers=np.array(scan.singular[0]))
+    return scan
 
 
 def _a2_sample(kernel: OperatorKernel, cfg: CertificationConfig) -> float:
@@ -311,11 +310,11 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     Failures become report entries, never exceptions: singular center
     sets are recorded under a1 and excluded from the a4 scan.
     """
-    a1 = {"worst_cond": 0.0, "singular": [], "cholesky_ok": True}
-    scan = _scan_sets(kernel, cfg, a1)
+    scan = _scan_sets(kernel, cfg)
+    worst, rows, singular = scan.worst, scan.rows, scan.singular
     # max_i fl(cond_i * cond_A) is fl(max_i cond_i * cond_A): rounding is monotone
-    a1["worst_cond"] *= float(np.linalg.cond(kernel.coupling.A))
-    worst, rows, singular = scan.worst, scan.rows, a1["singular"]
+    a1 = {"worst_cond": scan.worst_cond * float(np.linalg.cond(kernel.coupling.A)),
+          "singular": singular, "cholesky_ok": scan.cholesky_ok}
 
     gmax = _a2_sample(kernel, cfg)
     opnorm = coupling_opnorm(kernel.coupling.A, kernel.p)

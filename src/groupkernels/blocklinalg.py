@@ -141,8 +141,8 @@ def coupling_opnorm(A: np.ndarray, p: float) -> float:
 class GramSystem:
     """Scalar Gram G[i, j] = G(x_i, x_j) of the operator Gram K[x] = G (x) A.
 
-    kind is "cholesky" when G is numerically SPD, else "lu" (G passed
-    _require_nonsingular); every solve is an LU solve (LAPACK gesv)."""
+    G passed _require_nonsingular; kind is "cholesky" when it is also
+    numerically SPD, else "lu".  Every solve is an LU solve (LAPACK gesv)."""
 
     G: np.ndarray
     coupling: TaskCoupling
@@ -159,17 +159,17 @@ def solve_factored(system: GramSystem, rhs: np.ndarray) -> np.ndarray:
 
 
 def gram_assemble(kernel: OperatorKernel, centers) -> GramSystem:
-    """Assemble the scalar Gram for pairwise-distinct centers; "cholesky"
-    when numerically SPD, else "lu" after the singularity rule."""
+    """Assemble the scalar Gram for pairwise-distinct centers, held to the
+    singularity rule; "cholesky" when numerically SPD, else "lu"."""
     arr = validate_centers(kernel.scalar, centers)
     G = scalar_values(kernel.scalar, arr[:, None], arr[None, :])
     G.setflags(write=False)
-    try:  # numpy returns a nan factor, without raising, for a nan G
-        kind = "cholesky" if np.isfinite(np.linalg.cholesky(G)).all() else "lu"
+    _require_nonsingular(G, float(np.abs(G).max()), "Gram matrix")
+    try:
+        np.linalg.cholesky(G)
+        kind = "cholesky"
     except np.linalg.LinAlgError:
         kind = "lu"
-    if kind == "lu":
-        _require_nonsingular(G, float(np.abs(G).max()), "Gram matrix")
     return GramSystem(G=G, coupling=kernel.coupling, kind=kind)
 
 

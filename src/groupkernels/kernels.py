@@ -37,7 +37,7 @@ class ScalarKernelSpec:
     family   one of BUILTIN_FAMILIES, a FAMILY_ALIASES name, or "custom"
     t        mixing parameter of the min{x,y} - t*x*y family, in [-1, 1];
              also used for the first term of a combination (default 1.0)
-    weights  (C1, C2) nonnegative weights of a combination, C1 + C2 > 0
+    weights  (C1, C2) finite nonnegative weights of a combination, C1 + C2 > 0
     domain   open interval (lo, hi); evaluating at an endpoint is an error;
              when omitted, (-inf, inf) for exponential and (0, 1) otherwise
     func     vectorized symmetric callable, required for family="custom"
@@ -84,8 +84,9 @@ class ScalarKernelSpec:
             if len(self.weights) != 2:
                 raise ValueError(f"weights must be a pair (C1, C2), got {self.weights}")
             c1, c2 = float(self.weights[0]), float(self.weights[1])
-            if c1 < 0 or c2 < 0 or c1 + c2 <= 0:
-                raise ValueError(f"weights must be nonnegative with C1 + C2 > 0, got ({c1}, {c2})")
+            if not (0 <= c1 < math.inf and 0 <= c2 < math.inf and c1 + c2 > 0):
+                raise ValueError(f"weights must be finite and nonnegative with C1 + C2 > 0, "
+                                 f"got ({c1}, {c2})")
             object.__setattr__(self, "weights", (c1, c2))
         elif self.weights is not None:
             raise ValueError(f"{self.family} takes no weights")

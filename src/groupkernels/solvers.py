@@ -25,6 +25,7 @@ from .blocklinalg import (
     markov_cond,
     markov_eval,
     markov_solve,
+    nonsingular,
 )
 from .errors import (
     DataFormatError,
@@ -81,12 +82,12 @@ class LearnConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.loss not in ("squared", "absolute"):
             raise ValueError(f"loss must be 'squared' or 'absolute', got {self.loss!r}")
-        if self.max_iters < 1 or not self.tol > 0:
-            raise ValueError("max_iters must be >= 1 and tol positive")
+        if self.max_iters < 1 or not 0 < self.tol < math.inf:
+            raise ValueError("max_iters must be >= 1 and tol positive and finite")
 
 
 @dataclass
@@ -271,6 +272,8 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     p = kernel.p
     if p not in (1.0, 2.0):
         raise ValueError(f"basis pursuit implemented for p in {{1, 2}}, got {p}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     spec = kernel.scalar
     cen = validate_centers(spec, centers)
     cons = validate_centers(spec, constraints_x)
@@ -283,10 +286,12 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     g_c = scalar_values(spec, cons[:, None], cen[None, :])  # (m, M)
     y_t = y.blocks @ kernel.coupling.A_inv
     # g_c^T = Q R gives g_c g_c^T = R^T R, so the projection onto g_c v = y_t
-    # is v - Q (Q^T v - R^{-T} y_t); max|g_c g_c^T| is its largest diagonal
-    # entry, the largest squared row norm of g_c
+    # is v - Q (Q^T v - R^{-T} y_t).  The singularity rule takes sigma_min(R)^2
+    # and max|g_c g_c^T|, the largest squared row norm of g_c
+    scale = float((g_c * g_c).sum(axis=1).max())
     q_mat, r_mat = np.linalg.qr(g_c.T)
-    if np.abs(np.diag(r_mat)).min() ** 2 < 1e-12 * float((g_c * g_c).sum(axis=1).max()):
+    if not (0.0 < scale < math.inf
+            and nonsingular(np.linalg.svd(r_mat, compute_uv=False).min() ** 2, scale)):
         raise RankError("constraint rows are rank deficient")
     w = np.linalg.solve(r_mat.T, y_t)
 
@@ -306,7 +311,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     return _make_model(kernel, cen, c, meta)
 
 
-def _certificate(x, a, y, c, lam, p, loss="squared", theta=None, rounding=False):
+def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     """Duality gap and objective of min_C loss(Y - X C A) + lam sum_i ||C_i||_p
     at C, for the squared loss 0.5 ||.||^2 or the absolute loss (entry sum).
 
@@ -326,8 +331,10 @@ def _certificate(x, a, y, c, lam, p, loss="squared", theta=None, rounding=False)
     E = |X|^T |theta| |A| the entrywise scale of U, |theta| taken as
     |Y| + |X| |C| |A| for the squared loss, the scale of the products that
     form r; the polish's gradient carries the same rounding.
-    Returns (gap, objective, U, that rounding floor), the floor 0 unless
-    rounding is set (it only matters for a target below FLOOR_MAX).
+    Returns (gap, objective, U, bound): C certifies at gap <= bound < inf,
+    with bound target max(1, P), raised to that rounding floor up to
+    FLOOR_MAX max(1, P), computed only for a target below FLOOR_MAX, where
+    alone it can raise the bound.  An overflowed objective never certifies.
     """
     r = y - x @ c @ a
     theta = r if loss == "squared" else np.clip(theta, -1.0, 1.0)
@@ -343,21 +350,15 @@ def _certificate(x, a, y, c, lam, p, loss="squared", theta=None, rounding=False)
         fit = float(np.abs(r).sum())
         loss_gap = float((np.abs(r) - s * theta * r).sum())
     gap = loss_gap + float((lam * norms - s * (c * u).sum(axis=1)).sum())
-    floor = 0.0
-    if rounding:
+    obj = fit + lam * float(norms.sum())
+    scale = max(1.0, obj)
+    bound = target * scale
+    if target < FLOOR_MAX:
         abs_x, abs_a = np.abs(x), np.abs(a)
         size = np.abs(y) + abs_x @ np.abs(c) @ abs_a if loss == "squared" else np.abs(theta)
         floor = _EPS * s * float((norms * block_norms(abs_x.T @ size @ abs_a, q)).sum())
-    return gap, fit + lam * float(norms.sum()), u, floor
-
-
-def _bound(obj, target, floor):
-    """The gap a fit certifies at: target max(1, P), or the certificate's
-    rounding floor where that is larger, up to FLOOR_MAX max(1, P).
-    Callers also require it finite, so an overflowed objective never
-    certifies."""
-    scale = max(1.0, obj)
-    return max(target * scale, min(floor, FLOOR_MAX * scale))
+        bound = max(bound, min(floor, FLOOR_MAX * scale))
+    return gap, obj, u, bound
 
 
 def _cone_barrier(lengths, lam, mu):
@@ -504,15 +505,14 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
     estimate of _newton; its cones include the residual entries, and its
     gap falls with mu times their number.  Both the polished and the
     centered point are certified.  It stops certified once a gap holds at
-    _bound (target max(1, P), or the certificate's rounding floor);
+    the certificate's bound (target max(1, P), or its rounding floor);
     uncertified, with the point of least gap, once the budget is spent or
     once mu times the number of cones is below eps max(1, P), where the
     barrier no longer changes the objective and rounding bounds the gap.
     """
     d = c.shape[1] if p == 2.0 else 1
-    rounding = target < FLOOR_MAX
-    gap, obj, u, floor = _certificate(x, a, y, c, lam, p, loss, theta, rounding)
-    if gap <= _bound(obj, target, floor) < math.inf:
+    gap, obj, u, bound = _certificate(x, a, y, c, lam, p, target, loss, theta)
+    if gap <= bound < math.inf:
         return c, 0, True, theta
     cones = c.size // d
     if loss == "squared":
@@ -520,7 +520,7 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
         curvature = np.kron(xtx, a @ a)
         big_l = float(np.linalg.eigvalsh(xtx)[-1]) * float(np.linalg.norm(a, 2)) ** 2
         c = _shrink(c + u / big_l, lam / big_l, p)
-        gap = _certificate(x, a, y, c, lam, p)[0]
+        gap = _certificate(x, a, y, c, lam, p, target)[0]
     else:
         curvature = np.kron(x, a.T)
         cones += y.size
@@ -540,8 +540,8 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
                                         free, budget - steps)
             steps += used
         for point in (polished, c):
-            gap, obj, _, floor = _certificate(x, a, y, point, lam, p, loss, theta, rounding)
-            if gap <= _bound(obj, target, floor) < math.inf:
+            gap, obj, _, bound = _certificate(x, a, y, point, lam, p, target, loss, theta)
+            if gap <= bound < math.inf:
                 return point, steps, True, theta
             if gap < best_gap:
                 best, best_gap, best_theta = point, gap, theta
@@ -555,7 +555,7 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol):
     most max(16, |W|) per round; solve the fit restricted to W
     (_restricted_fit); repeat until the certificate holds at
     max(tol, 64 eps) max(1, P), or at the certificate's own rounding floor
-    (_certificate, _bound) when that is larger.  The absolute loss's dual
+    (_certificate) when that is larger.  The absolute loss's dual
     point starts at sign(Y); the squared loss's is always the residual.
     Raises NonconvergenceError once max_iters Newton steps are spent, or
     when the restricted fit stopped uncertified or made no step and no
@@ -570,8 +570,7 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol):
     work = np.zeros(0, dtype=int)
     sub_target, steps, progressed, last = target, 0, True, work
     while True:
-        gap, obj, u, floor = _certificate(g, a, y, c, lam, p, loss, theta, target < FLOOR_MAX)
-        bound = _bound(obj, target, floor)
+        gap, obj, u, bound = _certificate(g, a, y, c, lam, p, target, loss, theta)
         if gap <= bound < math.inf:
             return c, steps, obj, gap
         work = work[np.abs(c[work]).max(axis=1) > 0.0]
@@ -646,7 +645,7 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> Fit
                                             cfg.tol, "admm")
     # the loss block's dual estimate rho u_w is a subgradient of the loss at
     # the fitted values, so -rho u_w estimates the dual point theta
-    gap, obj, _, _ = _certificate(g, a, y_b, c, cfg.lam, kernel.p, cfg.loss, -rho * u_w)
+    gap, obj, _, _ = _certificate(g, a, y_b, c, cfg.lam, kernel.p, cfg.tol, cfg.loss, -rho * u_w)
     meta = {
         "solver": "admm-regularized",
         "loss": cfg.loss,

@@ -395,3 +395,26 @@ def test_scan_holds_every_gram_to_the_singularity_rule():
     with pytest.raises(SingularError) as exc:
         lebesgue_scan(K, CertificationConfig(seed=0))
     assert exc.value.centers.tolist() == report.a1["singular"][0]
+
+
+def test_gram_assemble_follows_the_scan_singularity_rule():
+    # one rule for every Gram: gram_assemble raises SingularError exactly for
+    # the sets the scan marks singular.  Cholesky accepts the first of them
+    # (m = 5, sigma_min 3.3e-13 against max|G| ~ 1), and gram_assemble once
+    # returned it as "cholesky", so lebesgue_at read 50.2 at q = 0.01
+    wide = gk.custom(lambda x, y: np.exp(-0.05 * (x - y) ** 2), domain=(0.0, 1.0))
+    K = gk.OperatorKernel(wide, gk.TaskCoupling.identity(1), p=2)
+    singular = []
+    for m, X, _, _, ok in _center_stacks(K, CertificationConfig(seed=0)):
+        for centers, good in zip(X, ok):
+            if good:
+                assert gram_assemble(K, centers).m == m
+            else:
+                with pytest.raises(SingularError):
+                    gram_assemble(K, centers)
+                singular.append(centers)
+    first = singular[0]
+    assert np.abs(first - [0.0662, 0.3727, 0.4373, 0.4675, 0.9248]).max() < 1e-4
+    for q in (0.01, 0.5, 0.99):
+        with pytest.raises(SingularError):
+            lebesgue_at(K, first, q)

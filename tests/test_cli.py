@@ -523,6 +523,45 @@ def test_overflowing_fit_prints_one_error_line(tmp_path, loss):
     _assert_clean_exit(proc.returncode, proc.stderr, out)
 
 
+_TFAMILY = ["--kernel", "tfamily", "--t", "1.0", "--coupling", "identity:1"]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    # a4 fails on t = -1 (worst 1.898 at the full budget), but an infinite
+    # tolerance reported pass and exited 0
+    (["certify", "--kernel", "tfamily", "--t", "-1", "--coupling", "identity:1", "--strict",
+      "--max-centers", "2", "--grid", "16", "--trials", "5", "--tolerance", "inf"],
+     "ValueError: tolerance must be positive and finite, got inf"),
+    # a budget below one iteration exited 2 with "residuals inf/inf after -5 iterations"
+    (["pursuit", *_TFAMILY, "--data", "{data}", "--extra-centers", "0.45", "--max-iters", "0"],
+     "ValueError: max_iters must be >= 1, got 0"),
+    (["pursuit", *_TFAMILY, "--data", "{data}", "--extra-centers", "0.45", "--max-iters", "-5"],
+     "ValueError: max_iters must be >= 1, got -5"),
+    # exited 2 with "newton gap nan", and with "above tolerance inf"
+    (["fit", *_TFAMILY, "--data", "{data}", "--lambda", "inf"],
+     "ValueError: lam must be positive and finite, got inf"),
+    (["fit", *_TFAMILY, "--data", "{data}", "--lambda", "0.1", "--tol", "inf"],
+     "ValueError: max_iters must be >= 1 and tol positive and finite"),
+    # an infinite weight exited 2 with SingularError, from the flag or from kernel JSON
+    (["interpolate", "--kernel", "combination", "--weights", "inf,1", "--coupling", "identity:1",
+      "--data", "{data}"],
+     "ValueError: weights must be finite and nonnegative with C1 + C2 > 0, got (inf, 1.0)"),
+    (["interpolate", "--kernel-json", "{kernel}", "--data", "{data}"],
+     "ValueError: weights must be finite and nonnegative with C1 + C2 > 0, got (inf, 1.0)"),
+], ids=["certify tolerance inf", "pursuit max-iters 0", "pursuit max-iters -5", "fit lambda inf",
+        "fit tol inf", "combination weights inf", "kernel JSON weights inf"])
+def test_bad_numeric_setting_exits_1_when_read(tmp_path, capsys, argv, fragment):
+    data, kernel, out = tmp_path / "train.csv", tmp_path / "kernel.json", tmp_path / "out.json"
+    data.write_text("x,y1\n0.3,1.0\n0.6,0.5\n")
+    kernel.write_text(json.dumps({"family": "combination", "weights": ["inf", 1.0],
+                                  "coupling": {"n": 1, "A": [[1.0]]}}))
+    argv = [a.format(data=data, kernel=kernel) for a in argv]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: {fragment}", err
+    assert not out.exists()
+
+
 def test_wrong_column_count_vs_coupling(tmp_path, capsys):
     train = tmp_path / "train.csv"
     train.write_text("x,y1,y2\n0.5,1.0,2.0\n")

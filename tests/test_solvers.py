@@ -182,9 +182,11 @@ def test_dense_predict_chunks_match_one_shot():
 
 @pytest.mark.parametrize("spec", [gk.exponential(), gk.wendland()], ids=["markov", "dense"])
 def test_interpolation_guard(spec):
-    """Sites 1e-14 apart raise SingularError on both paths, through the
-    residual, and through the condition number alone when the two values
-    agree; a well-separated fit records its condition number."""
+    """Sites 1e-14 apart raise SingularError on both paths, also when the
+    two values agree: on the Markov path through the residual and
+    condition guards, on the dense path through gram_assemble's
+    singularity rule, which fires before them.  A well-separated fit
+    records its condition number."""
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
     y = BlockVector([[1.0], [2.0], [0.5]], 2)
     for values in (y, BlockVector([[1.0], [1.0], [0.5]], 2)):
