@@ -76,6 +76,10 @@ class ScanResult:
     worst_cond: float = 0.0  # of the other Grams
     cholesky_ok: bool = True  # whether Cholesky accepted all the other Grams
 
+    def a4_passes(self, tolerance: float) -> bool:
+        """The a4 rule: a set was scanned and none exceeds 1 + tolerance."""
+        return bool(self.rows) and self.worst <= 1.0 + tolerance
+
     def a4_dict(self) -> dict:
         """The a4 section of a report; worst is None when no set was scanned."""
         return {
@@ -311,10 +315,9 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     sets are recorded under a1 and excluded from the a4 scan.
     """
     scan = _scan_sets(kernel, cfg)
-    worst, rows, singular = scan.worst, scan.rows, scan.singular
     # max_i fl(cond_i * cond_A) is fl(max_i cond_i * cond_A): rounding is monotone
     a1 = {"worst_cond": scan.worst_cond * float(np.linalg.cond(kernel.coupling.A)),
-          "singular": singular, "cholesky_ok": scan.cholesky_ok}
+          "singular": scan.singular, "cholesky_ok": scan.cholesky_ok}
 
     gmax = _a2_sample(kernel, cfg)
     opnorm = coupling_opnorm(kernel.coupling.A, kernel.p)
@@ -332,18 +335,17 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     builtin = kernel.scalar.family in BUILTIN_FAMILIES
     sampled = scan.method == "grid-golden"
     a2_ok = bound is None or gmax <= bound * (1.0 + 1e-12) + cfg.tolerance
-    # no surviving center set means no stability evidence at all
-    a4_ok = bool(rows) and worst <= 1.0 + cfg.tolerance
+    a4_ok = scan.a4_passes(cfg.tolerance)
     verdict = {
-        "a1": "pass" if not singular else "fail",
+        "a1": "pass" if not scan.singular else "fail",
         "a2": "pass" if a2_ok else "fail",
         # implied by the product structure with a strictly positive
         # definite scalar factor; not directly testable by finite sampling
         "a3": "implied" if builtin else "not-directly-testable",
         "a4": "pass" if a4_ok else "fail",
-        "overall": "pass" if (not singular and a2_ok and a4_ok) else "fail",
+        "overall": "pass" if (not scan.singular and a2_ok and a4_ok) else "fail",
         "evidence": {
-            "center_sets": len(rows) + len(singular),
+            "center_sets": len(scan.rows) + len(scan.singular),
             # the exact path probes no query grid
             "queries_per_set": cfg.grid_size + 2 if sampled else None,
             "refine_iters": REFINE_ITERS if sampled else None,
@@ -356,19 +358,18 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
         a2=a2,
         a4=scan.a4_dict(),
         verdict=verdict,
-        rows=rows,
+        rows=scan.rows,
     )
 
 
 def scan_report_dict(kernel: OperatorKernel, cfg: CertificationConfig,
                      result: ScanResult) -> dict:
     """JSON-ready report for a bare stability scan (a4 evidence only)."""
-    a4_ok = result.worst <= 1.0 + cfg.tolerance
     return {
         "kernel": kernel_to_dict(kernel),
         "config": asdict(cfg),
         "a4": result.a4_dict(),
-        "verdict": {"a4": "pass" if a4_ok else "fail"},
+        "verdict": {"a4": "pass" if result.a4_passes(cfg.tolerance) else "fail"},
     }
 
 

@@ -220,12 +220,15 @@ def _precision(gaps: MarkovGaps):
 
 
 def markov_solve(gaps: MarkovGaps, rhs: np.ndarray) -> np.ndarray:
-    """G^{-1} rhs at the sorted sites by the closed-form tridiagonal
-    precision, in O(m n)."""
+    """G^{-1} rhs by the closed-form tridiagonal precision, in O(m n); the
+    rows of rhs and of the result are in the caller's site order."""
     diag, off = _precision(gaps)
-    out = diag[:, None] * rhs
-    out[:-1] -= off[:, None] * rhs[1:]
-    out[1:] -= off[:, None] * rhs[:-1]
+    rhs = rhs[gaps.order]
+    z = diag[:, None] * rhs
+    z[:-1] -= off[:, None] * rhs[1:]
+    z[1:] -= off[:, None] * rhs[:-1]
+    out = np.empty_like(z)
+    out[gaps.order] = z
     return out
 
 
@@ -241,14 +244,15 @@ def _sweep(ratio: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def markov_eval(spec: ScalarKernelSpec, gaps: MarkovGaps, d: np.ndarray,
                 queries: np.ndarray) -> np.ndarray:
-    """sum_j G(q, x_j) d_j at each query q, for rows d_j at the sorted
-    sites, in O((m + k) n + k log m).
+    """sum_j G(q, x_j) d_j at each query q, for rows d_j in the caller's
+    site order, in O((m + k) n + k log m).
 
     L_k = sum_{j<=k} (p_j/p_k) d_j and R_k = sum_{j>=k} (q_j/q_k) d_j
     come from one sweep each, using ratios only.  For x_k <= q < x_{k+1},
     the sum is G(q, x_k) L_k + G(q, x_{k+1}) R_{k+1}; a query outside the
     hull keeps only the term of its one neighbour.
     """
+    d = d[gaps.order]
     low = _sweep(gaps.left, d)
     high = _sweep(gaps.right[::-1], d[::-1])[::-1]
     k = np.searchsorted(gaps.sites, queries, side="right") - 1

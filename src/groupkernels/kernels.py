@@ -389,11 +389,12 @@ class OperatorKernel:
     @property
     def q(self) -> float:
         """Conjugate exponent, 1/p + 1/q = 1."""
-        if self.p == 1.0:
-            return math.inf
-        if math.isinf(self.p):
-            return 1.0
-        return self.p / (self.p - 1.0)
+        return conjugate_exponent(self.p)
+
+
+def conjugate_exponent(p: float) -> float:
+    """q with 1/p + 1/q = 1 for p >= 1: inf at p = 1 and 1 at p = inf."""
+    return math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
 
 
 def eval_scalar(spec: ScalarKernelSpec, x: float, y: float) -> float:

@@ -34,9 +34,10 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .gridsearch import refine_max, vdc_points
+from .gridsearch import vdc_points
 from .kernels import (
     OperatorKernel,
+    conjugate_exponent,
     json_array,
     json_field,
     json_number,
@@ -104,15 +105,10 @@ class FitModel:
     meta: dict = field(default_factory=dict)
 
 
-def _make_model(kernel, centers, blocks, meta, p=None) -> FitModel:
-    coeffs = BlockVector(blocks, kernel.p if p is None else p)
-    return FitModel(
-        kernel=kernel,
-        centers=np.asarray(centers, dtype=float),
-        coeffs=coeffs,
-        norm_lp1=lp1_norm(coeffs),
-        meta=meta,
-    )
+def _make_model(kernel, centers, blocks, meta) -> FitModel:
+    coeffs = BlockVector(blocks, kernel.p)
+    return FitModel(kernel=kernel, centers=np.asarray(centers, dtype=float), coeffs=coeffs,
+                    norm_lp1=lp1_norm(coeffs), meta=meta)
 
 
 def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
@@ -138,10 +134,8 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
         fitted = gram_apply(system, BlockVector(coeffs, kernel.p)).blocks
         cond, solver = float(np.linalg.cond(system.G, 1)), "exact-gram"
     else:
-        coeffs = np.empty_like(y.blocks)
-        coeffs[gaps.order] = markov_solve(gaps, y.blocks[gaps.order]) @ coupling.A_inv
-        fitted = np.empty_like(y.blocks)
-        fitted[gaps.order] = markov_eval(spec, gaps, coeffs[gaps.order] @ coupling.A, gaps.sites)
+        coeffs = markov_solve(gaps, y.blocks) @ coupling.A_inv
+        fitted = markov_eval(spec, gaps, coeffs @ coupling.A, x)
         cond, solver = markov_cond(spec, gaps), "markov-precision"
     resid = float(np.abs(fitted - y.blocks).max())
     scale = max(1.0, float(np.abs(y.blocks).max()))
@@ -167,7 +161,7 @@ def predict_many(model: FitModel, queries) -> np.ndarray:
     a = model.kernel.coupling.A
     gaps = markov_gaps(spec, model.centers)
     if gaps is not None:
-        return markov_eval(spec, gaps, model.coeffs.blocks[gaps.order] @ a, q)
+        return markov_eval(spec, gaps, model.coeffs.blocks @ a, q)
     out = np.empty((q.size, model.coeffs.n))
     for start in range(0, q.size, PREDICT_CHUNK):
         e = scalar_values(spec, q[start:start + PREDICT_CHUNK, None], model.centers[None, :])
@@ -339,7 +333,7 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     r = y - x @ c @ a
     theta = r if loss == "squared" else np.clip(theta, -1.0, 1.0)
     u = x.T @ theta @ a
-    q = p / (p - 1.0) if p > 1.0 else math.inf
+    q = conjugate_exponent(p)
     top = float(block_norms(u, q).max(initial=0.0))
     s = 1.0 if top <= lam else lam / top
     norms = block_norms(c, p)
@@ -564,7 +558,7 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol):
     Returns (C, Newton steps, objective, gap).
     """
     target = max(tol, 64.0 * _EPS)
-    q = p / (p - 1.0) if p > 1.0 else math.inf
+    q = conjugate_exponent(p)
     theta = np.sign(y)
     c = np.zeros_like(y)
     work = np.zeros(0, dtype=int)
@@ -686,31 +680,23 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
 
 
 def expansion_sup_norm(model: FitModel, grid_size: int) -> float:
-    """Max over a nested probe grid (refined around the maximizer) of the
-    conjugate-exponent norm of the expansion values.
-
-    On an unbounded domain the probes cover the center hull: the builtin
-    unbounded family decays monotonically beyond it.
-    """
+    """sup_y ||sum_j G(y, x_j) A c_j||_q as the largest norm of predict_many
+    at the centers, the floats nearest each finite domain end inside it and
+    grid_size nested grid points, clipped to the center hull on an infinite
+    side.  Exact for the builtin families: between breakpoints (domain ends
+    and centers) each component is affine for tfamily, wendland and
+    combination (on a subinterval of (0, 1)) and a e^y + b e^-y for
+    exponential, so its absolute value, and any l^q norm of those, is
+    convex and peaks at a breakpoint; beyond the center hull the exponential
+    expansion decays.  A sampled lower bound for a custom kernel."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    kernel = model.kernel
-    lo, hi = kernel.scalar.domain
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        lo, hi = float(model.centers.min()), float(model.centers.max())
-    ca = model.coeffs.blocks @ kernel.coupling.A
-
-    def norms_at(queries):
-        e = scalar_values(kernel.scalar, queries[:, None], model.centers[None, :])
-        return block_norms(e @ ca, kernel.q)
-
-    if hi <= lo:
-        return float(norms_at(np.array([lo]))[0])
-    probes = np.concatenate([vdc_points(lo, hi, grid_size), model.centers])
-    vals = norms_at(probes)
-    _, best = refine_max(lambda t: float(norms_at(np.array([t]))[0]),
-                         probes, vals, lo, hi)
-    return float(max(vals.max(), best))
+    domain = np.array(model.kernel.scalar.domain)
+    finite = np.isfinite(domain)
+    lo, hi = np.where(finite, domain, [model.centers.min(), model.centers.max()])
+    ends = np.nextafter(domain, domain[::-1])[finite]
+    probes = np.concatenate([model.centers, ends, vdc_points(lo, hi, grid_size)])
+    return float(block_norms(predict_many(model, probes), model.kernel.q).max())
 
 
 # ---------------------------------------------------------------------------
@@ -730,12 +716,13 @@ def model_to_dict(model: FitModel) -> dict:
 
 
 def model_from_dict(data: dict) -> FitModel:
-    """Rebuild a persisted model, rejecting a missing or mistyped field,
-    coefficients not of shape (centers, coupling dimension) or non-finite,
+    """Rebuild a persisted model, rejecting a missing or mistyped field, a p
+    not the kernel's, coefficients not of shape (centers, n) or non-finite,
     and centers that are non-finite, outside the open domain or repeated."""
     src = "model JSON"
     kernel = kernel_from_dict(json_field(data, "kernel", dict, src))
-    p = json_field(data, "p", json_number, src, kernel.p)
+    if (p := json_field(data, "p", json_number, src, kernel.p)) != kernel.p:
+        raise DataFormatError(f"{src}: field 'p' is {p!r}, but the kernel's p is {kernel.p!r}")
     centers = json_field(data, "centers", json_array, src)
     blocks = json_field(data, "coeffs", json_array, src)
     if centers.ndim != 1 or centers.size == 0:
@@ -757,7 +744,7 @@ def model_from_dict(data: dict) -> FitModel:
         raise DataFormatError("model centers must be pairwise distinct")
     if not np.all(np.isfinite(blocks)):
         raise DataFormatError("model coefficients must be finite")
-    model = _make_model(kernel, centers, blocks, json_field(data, "meta", dict, src, {}), p)
+    model = _make_model(kernel, centers, blocks, json_field(data, "meta", dict, src, {}))
     norm = model.norm_lp1
     if abs(json_field(data, "norm_lp1", json_number, src, norm) - norm) > 1e-12 * max(1.0, norm):
         raise DataFormatError("stored norm_lp1 disagrees with stored coefficients")
@@ -783,7 +770,7 @@ def read_training_csv(path, domain=None):
     """Training data with header x,y1,...,yn; returns (x, Y) arrays.
 
     Malformed content fails before any solver runs, naming row and column;
-    with domain=(lo, hi), so does an x outside that open interval.
+    so do a repeated x (both rows) and, with domain=(lo, hi), an x outside it.
     """
     numbers, rows = read_csv_rows(path)
     if not rows:
@@ -801,6 +788,11 @@ def read_training_csv(path, domain=None):
         raise DataFormatError(f"{path}: no data rows")
     table = parse_cells(path, numbers[1:], rows[1:], header)
     _require_x_in_domain(path, table[:, 0], numbers[1:], domain)
+    first = {}  # row of each x
+    for lineno, v in zip(numbers[1:], table[:, 0].tolist()):
+        if first.setdefault(v, lineno) != lineno:
+            raise DataFormatError(
+                f"{path}: rows {first[v]} and {lineno}, column x: repeated value {v!r}")
     return np.ascontiguousarray(table[:, 0]), np.ascontiguousarray(table[:, 1:])
 
 

@@ -314,6 +314,49 @@ def test_predict_rejects_invalid_model(tmp_path, capsys, tamper, fragment):
     assert not out.exists()
 
 
+def test_model_p_must_match_the_kernel(tmp_path, capsys):
+    # one exponent per model: coefficients stored with p = 1 under a p = 2
+    # kernel, with a matching 1-norm, used to load and predict with exit 0
+    train, pts = tmp_path / "train.csv", tmp_path / "pts.csv"
+    train.write_text("x,y1,y2\n0.2,1.0,0.0\n0.5,0.5,1.0\n0.8,0.0,2.0\n")
+    pts.write_text("x\n0.3\n")
+    model = tmp_path / "model.json"
+    assert run(["interpolate", "--data", str(train), "--kernel", "wendland", "--p", "2",
+                "--coupling", "identity:2", "--out", str(model)]) == 0
+    data = json.loads(model.read_text())
+    data.update(p=1.0, norm_lp1=float(np.abs(data["coeffs"]).sum()))
+    model.write_text(json.dumps(data))
+    out = tmp_path / "preds.csv"
+    capsys.readouterr()
+    assert run(["predict", "--model", str(model), "--points", str(pts), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: DataFormatError: model JSON: field 'p'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["interpolate"], ["fit", "--lambda", "0.1"]])
+def test_repeated_training_site_exits_1_naming_both_rows(tmp_path, capsys, command):
+    # a repeated x used to surface only as "DuplicateCenterError: centers must
+    # be pairwise distinct"; data rows 2 and 4 are records 3 and 5 (header is 1)
+    train = tmp_path / "train.csv"
+    train.write_text("x,y1\n0.1,1.0\n0.2,2.0\n0.5,3.0\n0.2,4.0\n")
+    out = tmp_path / "model.json"
+    assert run([*command, "--data", str(train), "--kernel", "wendland", "--p", "2",
+                "--coupling", "identity:1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: DataFormatError: {train}: rows 3 and 5, column x: repeated value 0.2"]
+    assert not out.exists()
+    # repeated query points stay accepted
+    model, preds = tmp_path / "ok.json", tmp_path / "preds.csv"
+    train.write_text("x,y1\n0.1,1.0\n0.2,2.0\n")
+    assert run(["interpolate", "--data", str(train), "--kernel", "wendland", "--p", "2",
+                "--coupling", "identity:1", "--out", str(model)]) == 0
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x\n0.3\n0.3\n")
+    assert run(["predict", "--model", str(model), "--points", str(pts), "--out", str(preds)]) == 0
+    assert len(preds.read_text().splitlines()) == 3
+
+
 _KERNEL = {"family": "tfamily", "t": 1.0, "coupling": {"n": 1, "A": [[1.0]]}}
 _MODEL = {"kernel": _KERNEL, "centers": [0.5], "coeffs": [[1.0]]}
 

@@ -39,6 +39,7 @@ from groupkernels.solvers import (
 )
 
 from helpers import (
+    ADMISSIBLE_SPECS,
     dense_interpolant_coeffs,
     dense_predictions,
     random_coupling,
@@ -738,6 +739,50 @@ def test_expansion_sup_norm_unbounded_domain():
     v = expansion_sup_norm(model, 256)
     probe = max(float(np.abs(predict(model, t)).max()) for t in np.linspace(-3, 5, 400))
     assert v >= probe - 1e-9
+
+
+@pytest.mark.parametrize("spec", [s for _, s in ADMISSIBLE_SPECS], ids=[i for i, _ in ADMISSIBLE_SPECS])
+def test_expansion_sup_norm_is_exact_at_the_breakpoints(spec):
+    """The sup norm dominates a dense grid of 200,001 points inside the
+    domain and is, within 1e-12, the largest norm at the breakpoints: the
+    centers (unsorted) and the floats nearest the domain ends inside it."""
+    rng = np.random.default_rng(73)
+    lo, hi = spec.domain
+    dense = np.linspace(lo, hi, 200_003)[1:-1]
+    ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
+    for p in (1.0, 2.0):
+        for n in (1, 3):
+            K = gk.OperatorKernel(spec, random_coupling(n, rng), p=p)
+            for _ in range(3):
+                m = int(rng.integers(1, 9))
+                centers = rng.permutation(random_sites(K, m, rng))
+                coeffs = BlockVector(rng.standard_normal((m, n)), p)
+                model = gk.FitModel(K, centers, coeffs, lp1_norm(coeffs))
+                sup = expansion_sup_norm(model, 64)
+                assert sup >= block_norms(predict_many(model, dense), K.q).max()
+                at_breaks = block_norms(predict_many(model, np.concatenate([centers, ends])), K.q)
+                assert sup <= at_breaks.max() * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("spec,bound", [
+    (gk.exponential(), lambda m, grid: 40 * 8 * 2 * (m + grid)),
+    (gk.wendland(), lambda m, grid: 4 * 8 * PREDICT_CHUNK * m),
+], ids=["markov", "dense"])
+def test_expansion_sup_norm_memory(spec, bound):
+    """m = 2,000: the traced peak stays O(m + grid) on the Markov path and
+    O(PREDICT_CHUNK m) on the dense one, not O((m + grid) m)."""
+    m, grid = 2000, 1024
+    rng = np.random.default_rng(8)
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
+    coeffs = BlockVector(rng.standard_normal((m, 2)), 2)
+    model = gk.FitModel(K, shuffled_sites(0.0, 1.0, m, rng), coeffs, lp1_norm(coeffs))
+    tracemalloc.start()
+    try:
+        expansion_sup_norm(model, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound(m, grid)
 
 
 def test_point_evaluation_bound_sample():
