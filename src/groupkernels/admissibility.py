@@ -18,6 +18,7 @@ budget so a "pass" claim is scoped to it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -36,6 +37,8 @@ from .kernels import (
 )
 
 REFINE_ITERS = 30
+MAX_ATTEMPTS = 1000  # draws of a center set before sample_centers gives up
+GRID_CHUNK = 1 << 19  # probe values per stacked grid solve of _grid_sup
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,8 @@ class CertificationConfig:
     def __post_init__(self):
         if self.max_centers < 1 or self.grid_size < 1 or self.trials < 1:
             raise ValueError("max_centers, grid_size and trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance}")
 
@@ -136,35 +141,143 @@ def _require_bounded(kernel: OperatorKernel) -> tuple[float, float]:
     return lo, hi
 
 
+def _draw_sets(lo: float, hi: float, m: int, rows: int, draw) -> np.ndarray:
+    """rows sorted sets of m centers in (lo, hi) with a minimum separation
+    of (hi - lo)/(10 m): draw(pending, done) gives the pending rows' next
+    attempts of m uniform draws, (pending, attempts, m), after the done
+    ones and at most MAX_ATTEMPTS - done of them; each row keeps its
+    first attempt that passes, sorted."""
+    min_sep = (hi - lo) / (10.0 * m)
+    out, todo, done = np.empty((rows, m)), np.arange(rows), 0
+    while todo.size:
+        if done >= MAX_ATTEMPTS:
+            raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} "
+                             f"in {MAX_ATTEMPTS} draws")
+        pts = np.sort(draw(todo, done), axis=2)
+        ok = ((pts[:, :, 0] > lo) & (pts[:, :, -1] < hi)
+              & (np.diff(pts).min(axis=2, initial=math.inf) >= min_sep))
+        hit = ok.any(axis=1)
+        out[todo[hit]] = pts[hit, ok[hit].argmax(axis=1)]
+        todo, done = todo[~hit], done + pts.shape[1]
+    return out
+
+
 def sample_centers(lo: float, hi: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m sorted centers drawn uniformly from (lo, hi) with a minimum
     separation of (hi - lo)/(10 m) to avoid spurious near-duplicates."""
-    min_sep = (hi - lo) / (10.0 * m)
-    for _ in range(1000):
-        pts = np.sort(rng.uniform(lo, hi, size=m))
-        if pts[0] <= lo or pts[-1] >= hi:
-            continue
-        if m > 1 and np.diff(pts).min() < min_sep:
-            continue
-        return pts
-    raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} in 1000 draws")
+    return _draw_sets(lo, hi, m, 1, lambda todo, done: rng.uniform(lo, hi, size=(1, 1, m)))[0]
 
 
-def _trial_rng(seed: int, m: int, trial: int) -> np.random.Generator:
-    # per-trial seed derived by counter, never by shared-stream consumption,
-    # so trial k's centers do not depend on how many trials ran before it
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
+_M32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's hash with its running constant h, as a function of
+    the words to hash (a uint32 array or an int)."""
+    def hashmix(v):
+        nonlocal h
+        v = (v ^ h) * (h := h * mult & _M32) & _M32  # xor with h, multiply by the next h
+        return v ^ v >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix, 0xCA01F9DD x - 0x4973F715 y mod 2**32, then a shift-xor."""
+    r = ((0xCA01F9DD * x & _M32) + (0xB68C08EB * y & _M32)) & _M32
+    return r ^ r >> 16
+
+
+def _streams(seed: int, key: int, trials: int) -> np.ndarray:
+    """The PCG64 streams np.random.default_rng(SeedSequence(entropy=seed,
+    spawn_key=(key, trial))) draws from, trial = 0..trials-1, as a
+    (4, 2, trials) uint64 array: the initial state and the increment
+    (initseq << 1) | 1 of each stream, in 32-bit limbs, low limb first.
+
+    The SeedSequence pool hashing and generate_state(4, uint64) run on all
+    trials at once; words shared by every trial stay Python ints."""
+    seed = operator.index(seed)
+    words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (4 - len(words)) + [key, np.arange(trials, dtype=np.uint32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    # as uint64, out[1]:out[0] and out[3]:out[2] are the high and low halves
+    # of the initial state, out[5]:out[4] and out[7]:out[6] those of initseq
+    seq = np.array([out[6], out[7], out[4], out[5]])
+    inc = seq << 1 & _M32
+    inc[1:] |= seq[:-1] >> 31
+    inc[0] |= 1
+    return np.stack([np.array([out[2], out[3], out[0], out[1]]), inc], axis=1)
+
+
+def _raw(streams: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Outputs start + 1 .. start + count of each of the _streams, as
+    (trials, count) uint64, what PCG64.random_raw gives.
+
+    PCG64 seeds by a step from 0, adding the state, and a step, where a
+    step is x -> a x + inc mod 2**128; so output k comes from the state
+    a**(k+1) state + c_(k+2) inc with c_n = 1 + a + ... + a**(n-1), one
+    multiply-add on 32-bit limbs, then the XSL-RR output function."""
+    a, mod, jumps, cums = _PCG_MULT, 1 << 128, [], []
+    # c_n = (a**n - 1)/(a - 1), exact when a**n is reduced mod (a - 1) 2**128
+    jump, cum = pow(a, start + 1, mod), (pow(a, start + 2, (a - 1) << 128) - 1) // (a - 1)
+    for _ in range(count):  # c_(n+1) = c_n + a**n
+        jump = jump * a % mod
+        cum = (cum + jump) % mod
+        jumps.append(jump)
+        cums.append(cum)
+    raw = b"".join(v.to_bytes(16, "little") for v in jumps + cums)
+    consts = np.frombuffer(raw, dtype="<u4").reshape(2, count, 4).T.astype(np.uint64)
+    # limb i of a constant times limb j of its operand: the low half of the
+    # product goes to column i + j, the high half to i + j + 1
+    t, i, j = np.array([(t, i, c - i) for c in range(4) for t in range(2)
+                        for i in range(c + 1)]).T
+    prod = consts[i, :, t][:, None] * streams[j, t][:, :, None]  # (20, trials, count)
+    x, carry = [], 0
+    for c in (slice(0, 2), slice(2, 6), slice(6, 12), slice(12, 20)):  # the products of each column
+        col = (prod[c] & _M32).sum(axis=0) + carry
+        x.append(col & _M32)
+        carry = (prod[c] >> 32).sum(axis=0) + (col >> 32)
+    xor = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0])
+    rot = x[3] >> 26
+    return xor >> rot | xor << (64 - rot & 63)
+
+
+def _uniform(streams: np.ndarray, start: int, count: int, lo: float, hi: float) -> np.ndarray:
+    """_raw's outputs as Generator.uniform(lo, hi) makes them, through the
+    double (raw >> 11) 2**-53 of Generator.random."""
+    return lo + (hi - lo) * ((_raw(streams, start, count) >> 11) * 2.0**-53)
 
 
 def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
     """(m, X, G, s, ok) for m = 1..cfg.max_centers: X stacks the cfg.trials
     seeded sets of m centers, checked as validate_centers checks one set;
     G holds their Grams, s the singular values of each (as np.linalg.cond
-    takes them) and ok which pass the singularity rule."""
+    takes them) and ok which pass the singularity rule.
+
+    Trial k's set is sample_centers(lo, hi, m, rng) with rng seeded from
+    SeedSequence(entropy=cfg.seed, spawn_key=(m, k)), by counter and never
+    by a shared stream, so it does not depend on how many trials ran
+    before it; all trials are drawn at once (_streams, _raw)."""
     lo, hi = _require_bounded(kernel)
     for m in range(1, cfg.max_centers + 1):
-        X = np.array([sample_centers(lo, hi, m, _trial_rng(cfg.seed, m, trial))
-                      for trial in range(cfg.trials)])
+        streams = _streams(cfg.seed, m, cfg.trials)
+
+        def draw(todo, done):
+            # 1, 1, 2, 4, ... attempts per round, at most 2**15 draws after the first
+            n = max(1, min(done, MAX_ATTEMPTS - done, (1 << 15) // (todo.size * m)))
+            return _uniform(streams[:, :, todo], done * m, n * m, lo, hi).reshape(todo.size, n, m)
+
+        X = _draw_sets(lo, hi, m, cfg.trials, draw)
         require_in_domain(kernel.scalar, X, what="center")
         if not (np.diff(X, axis=1) > 0).all():
             raise DuplicateCenterError("centers must be pairwise distinct")
@@ -239,11 +352,17 @@ def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: 
 def _grid_sup(kernel: OperatorKernel, probes: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Sampled per-set supremum for custom kernels, (worst, query) per set:
     the probes (nested grid plus the inward domain endpoints) with golden
-    refinement around the best of them, in lockstep over the sets."""
+    refinement around the best of them, in lockstep over the sets, taken
+    in chunks of at most GRID_CHUNK probe values."""
     lo, hi = kernel.scalar.domain
-    vals = _stability_values(kernel, X, G, probes[None, :])
-    query, worst = refine_max_rows(lambda q: _stability_values(kernel, X, G, q[:, None])[:, 0],
-                                   probes, vals, lo, hi, iters=REFINE_ITERS)
+    worst, query = np.empty(len(X)), np.empty(len(X))
+    step = max(1, GRID_CHUNK // (X.shape[1] * probes.size))
+    for r in range(0, len(X), step):
+        x, g = X[r:r + step], G[r:r + step]
+        vals = _stability_values(kernel, x, g, probes[None, :])
+        query[r:r + step], worst[r:r + step] = refine_max_rows(
+            lambda q: _stability_values(kernel, x, g, q[:, None])[:, 0],
+            probes, vals, lo, hi, iters=REFINE_ITERS)
     return worst, query
 
 
@@ -299,10 +418,10 @@ def _a2_sample(kernel: OperatorKernel, cfg: CertificationConfig) -> float:
     """Max |G| over sampled point pairs: nested grid points plus seeded
     uniform draws, all pairs including the diagonal."""
     lo, hi = _require_bounded(kernel)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
+    # the stream of spawn key (0, 0), which no center set uses (m >= 1)
     pts = np.concatenate([
         vdc_points(lo, hi, min(cfg.grid_size, 512)),
-        lo + (hi - lo) * rng.random(512),
+        _uniform(_streams(cfg.seed, 0, 1), 0, 512, lo, hi)[0],
     ])
     vals = scalar_values(kernel.scalar, pts[:, None], pts[None, :])
     return float(np.abs(vals).max())

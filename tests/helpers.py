@@ -11,6 +11,12 @@ from groupkernels.admissibility import sample_centers
 from groupkernels.blocklinalg import BlockVector, block_norms
 
 
+def trial_rng(seed, m, trial):
+    """The Generator of certification trial `trial` at set size m: seeded by
+    counter from (seed, m, trial), the per-trial oracle of the scan draws."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
+
+
 def random_spd(n, rng, eig_range=(0.5, 2.0)):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = rng.uniform(*eig_range, size=n)

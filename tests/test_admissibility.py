@@ -1,5 +1,8 @@
 
+import hashlib
+import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -9,8 +12,11 @@ import scipy.optimize
 import groupkernels as gk
 from groupkernels.admissibility import (
     CertificationConfig,
+    _a2_sample,
     _center_stacks,
+    _raw,
     _set_sup,
+    _streams,
     certify,
     det_tfamily_closed_form,
     lebesgue_at,
@@ -22,7 +28,7 @@ from groupkernels.admissibility import (
 from groupkernels.blocklinalg import gram_assemble
 from groupkernels.errors import DomainError, OrderError, ShapeError, SingularError
 
-from helpers import column_norm_sampled, random_coupling
+from helpers import column_norm_sampled, random_coupling, trial_rng
 
 BRIDGE = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.identity(1), p=2)
 SMALL = CertificationConfig(max_centers=3, grid_size=128, trials=20, seed=7)
@@ -178,6 +184,67 @@ def test_config_validation():
         CertificationConfig(max_centers=0)
     with pytest.raises(ValueError):
         CertificationConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="seed"):
+        CertificationConfig(seed=-1)
+
+
+# 2**32 + 5 and 2**64 + 3 take two and three 32-bit entropy words
+DRAW_SEEDS = [0, 1201, 2**32 + 5, 2**64 + 3]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_streams_match_numpy_pcg64(seed):
+    for m in range(7):
+        streams = _streams(seed, m, 200)
+        raw = np.hstack([_raw(streams, 0, 5), _raw(streams, 5, 8)])
+        for trial in range(200):
+            ref = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
+            assert (raw[trial] == ref.random_raw(13)).all(), (m, trial)
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+def test_center_stacks_match_per_trial_oracle(seed):
+    retried = 0
+    for spec in (gk.wendland(), gk.exponential((-2.0, 2.0)), gk.exponential((-2.5, 2.5))):
+        lo, hi = spec.domain
+        K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
+        for m, X, *_ in _center_stacks(K, CertificationConfig(seed=seed)):
+            for trial, row in enumerate(X):
+                assert (row == sample_centers(lo, hi, m, trial_rng(seed, m, trial))).all()
+                retried += (row != np.sort(trial_rng(seed, m, trial).uniform(lo, hi, m))).any()
+    assert retried > 0  # some rows rejected their first draw and took a later round
+
+
+def test_a2_sample_draws_the_spawn_key_0_0_stream():
+    seen = []
+
+    def ones(x, y):
+        seen.append(np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape))[:, 0].copy())
+        return np.ones(np.broadcast_shapes(x.shape, y.shape))
+
+    cfg = CertificationConfig(grid_size=64, seed=2**32 + 5)
+    assert _a2_sample(gk.OperatorKernel(gk.custom(ones, (-2.0, 2.0)),
+                                        gk.TaskCoupling.identity(1), p=2), cfg) == 1.0
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
+    assert (seen[0][64:] == -2.0 + 4.0 * rng.random(512)).all()
+
+
+def test_grid_scan_memory_is_bounded():
+    # the custom-kernel scan stacks its sets in chunks: 200 sets of 6 centers
+    # against 4,098 probes peaked at 112.8 MiB in one stack.  The digest was
+    # recorded from that one-stack scan: the chunks change no byte
+    spec = gk.custom(lambda x, y: np.exp(-((x - y) ** 2)), domain=(0.0, 1.0))
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
+    tracemalloc.start()
+    try:
+        report = certify(K, CertificationConfig(max_centers=6, grid_size=4096, trials=200))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+    text = json.dumps(report.to_dict(), indent=2) + scan_rows_csv(report.rows)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2bfe5153487ce014d95bf2e6a653cb969921e22f789c163afceea987e49fa3cc")
 
 
 def test_certify_passes_for_stable_kernel():

@@ -575,6 +575,9 @@ _TFAMILY = ["--kernel", "tfamily", "--t", "1.0", "--coupling", "identity:1"]
     (["certify", "--kernel", "tfamily", "--t", "-1", "--coupling", "identity:1", "--strict",
       "--max-centers", "2", "--grid", "16", "--trials", "5", "--tolerance", "inf"],
      "ValueError: tolerance must be positive and finite, got inf"),
+    # exited 1 with "expected non-negative integer", which names no flag
+    (["certify", "--kernel", "wendland", "--coupling", "identity:1", "--seed", "-1"],
+     "ValueError: seed must be >= 0, got -1"),
     # a budget below one iteration exited 2 with "residuals inf/inf after -5 iterations"
     (["pursuit", *_TFAMILY, "--data", "{data}", "--extra-centers", "0.45", "--max-iters", "0"],
      "ValueError: max_iters must be >= 1, got 0"),
@@ -591,8 +594,8 @@ _TFAMILY = ["--kernel", "tfamily", "--t", "1.0", "--coupling", "identity:1"]
      "ValueError: weights must be finite and nonnegative with C1 + C2 > 0, got (inf, 1.0)"),
     (["interpolate", "--kernel-json", "{kernel}", "--data", "{data}"],
      "ValueError: weights must be finite and nonnegative with C1 + C2 > 0, got (inf, 1.0)"),
-], ids=["certify tolerance inf", "pursuit max-iters 0", "pursuit max-iters -5", "fit lambda inf",
-        "fit tol inf", "combination weights inf", "kernel JSON weights inf"])
+], ids=["certify tolerance inf", "certify seed -1", "pursuit max-iters 0", "pursuit max-iters -5",
+        "fit lambda inf", "fit tol inf", "combination weights inf", "kernel JSON weights inf"])
 def test_bad_numeric_setting_exits_1_when_read(tmp_path, capsys, argv, fragment):
     data, kernel, out = tmp_path / "train.csv", tmp_path / "kernel.json", tmp_path / "out.json"
     data.write_text("x,y1\n0.3,1.0\n0.6,0.5\n")
