@@ -3,8 +3,8 @@
 a1 (invertible Grams) and a2 (uniform boundedness) are probed by seeded
 sampling; a4 (the interpolation stability constant bounded by 1) is
 scanned over random center sets, batched per set size: one stacked Gram,
-Cholesky, SVD and solve for all the sets of a size, every Gram held to
-the singularity rule.  For the builtin families the supremum over queries
+Cholesky, SVD and solve per block of the sets of a size, every Gram held
+to the singularity rule.  For the builtin families the supremum over queries
 of each set is exact (see _breakpoint_sup); custom kernels get a nested
 query grid with golden-section refinement, in lockstep over the sets.  a3
 (independence of infinite expansions) cannot be falsified by finite
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .kernels import (
 
 REFINE_ITERS = 30
 MAX_ATTEMPTS = 1000  # draws of a center set before sample_centers gives up
-GRID_CHUNK = 1 << 19  # probe values per stacked grid solve of _grid_sup
+PROBE_CHUNK = 1 << 17  # float64 values per probe temporary (1 MiB): rows per block
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,27 @@ def _mix(x, y):
     return r ^ r >> 16
 
 
+def _limbs(*values: int) -> np.ndarray:
+    """Python ints mod 2**128 as (4, len(values)) uint64 32-bit limbs, low limb first."""
+    raw = b"".join((v % (1 << 128)).to_bytes(16, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(values), 4).T.astype(np.uint64)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x[:, 0] y[:, 0] + x[:, 1] y[:, 1] mod 2**128 for (4, 2, ...) uint64
+    arrays of 32-bit limbs, low limb first, broadcast against each other.
+    Limb i of x times limb c - i of y adds to columns c and c + 1."""
+    out, carry = [], 0
+    for c in range(4):
+        t, i = np.divmod(np.arange(2 * c + 2), c + 1)
+        prod = x[i, t] * y[c - i, t]
+        col = (prod & _M32).sum(axis=0) + carry
+        out.append(col & _M32)
+        if c < 3:  # what the top column carries falls beyond 2**128
+            carry = (prod >> 32).sum(axis=0) + (col >> 32)
+    return np.stack(out)
+
+
 def _streams(seed: int, key: int, trials: int) -> np.ndarray:
     """The PCG64 streams np.random.default_rng(SeedSequence(entropy=seed,
     spawn_key=(key, trial))) draws from, trial = 0..trials-1, as a
@@ -219,34 +240,35 @@ def _streams(seed: int, key: int, trials: int) -> np.ndarray:
     return np.stack([np.array([out[2], out[3], out[0], out[1]]), inc], axis=1)
 
 
+def _cum(k: int) -> int:
+    """c_k = 1 + a + ... + a**(k-1) mod 2**128 for the PCG64 multiplier a:
+    (a**k - 1)/(a - 1), exact when a**k is reduced mod (a - 1) 2**128."""
+    return (pow(_PCG_MULT, k, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
+
+
+@cache
+def _jumps(e: int) -> np.ndarray:
+    """(a**k, c_k) for k = 0 .. 2**e - 1 as (4, 2, 2**e) limbs, k steps
+    x -> a x + inc taking x to a**k x + c_k inc; by doubling, as k + n steps
+    are n steps after k: a**(k+n) = a**n a**k and c_(k+n) = a**n c_k + c_n."""
+    if e == 0:
+        return _limbs(1, 0)[:, :, None]
+    half, n = _jumps(e - 1), 1 << e - 1
+    step = np.stack([half, np.broadcast_to(_limbs(0, 1)[:, :, None], half.shape)], axis=1)
+    jump = _limbs(pow(_PCG_MULT, n, 1 << 128), _cum(n))[:, :, None, None]
+    return np.concatenate([half, _dot(jump, step)], axis=2)
+
+
 def _raw(streams: np.ndarray, start: int, count: int) -> np.ndarray:
     """Outputs start + 1 .. start + count of each of the _streams, as
     (trials, count) uint64, what PCG64.random_raw gives.
 
-    PCG64 seeds by a step from 0, adding the state, and a step, where a
-    step is x -> a x + inc mod 2**128; so output k comes from the state
-    a**(k+1) state + c_(k+2) inc with c_n = 1 + a + ... + a**(n-1), one
-    multiply-add on 32-bit limbs, then the XSL-RR output function."""
-    a, mod, jumps, cums = _PCG_MULT, 1 << 128, [], []
-    # c_n = (a**n - 1)/(a - 1), exact when a**n is reduced mod (a - 1) 2**128
-    jump, cum = pow(a, start + 1, mod), (pow(a, start + 2, (a - 1) << 128) - 1) // (a - 1)
-    for _ in range(count):  # c_(n+1) = c_n + a**n
-        jump = jump * a % mod
-        cum = (cum + jump) % mod
-        jumps.append(jump)
-        cums.append(cum)
-    raw = b"".join(v.to_bytes(16, "little") for v in jumps + cums)
-    consts = np.frombuffer(raw, dtype="<u4").reshape(2, count, 4).T.astype(np.uint64)
-    # limb i of a constant times limb j of its operand: the low half of the
-    # product goes to column i + j, the high half to i + j + 1
-    t, i, j = np.array([(t, i, c - i) for c in range(4) for t in range(2)
-                        for i in range(c + 1)]).T
-    prod = consts[i, :, t][:, None] * streams[j, t][:, :, None]  # (20, trials, count)
-    x, carry = [], 0
-    for c in (slice(0, 2), slice(2, 6), slice(6, 12), slice(12, 20)):  # the products of each column
-        col = (prod[c] & _M32).sum(axis=0) + carry
-        x.append(col & _M32)
-        carry = (prod[c] >> 32).sum(axis=0) + (col >> 32)
+    PCG64 seeds by a step from 0, adding the state, and a step; so output k
+    comes from the state a**(k+1) state + c_(k+2) inc, and the outputs after
+    the first by its _jumps: multiply-adds on 32-bit limbs, then XSL-RR."""
+    x = _dot(_limbs(pow(_PCG_MULT, start + 2, 1 << 128), _cum(start + 3))[:, :, None], streams)
+    jumps = _jumps(max(0, count - 1).bit_length())[:, :, None, :count]
+    x = _dot(jumps, np.stack([x, streams[:, 1]], axis=1)[:, :, :, None])  # (4, trials, count)
     xor = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0])
     rot = x[3] >> 26
     return xor >> rot | xor << (64 - rot & 63)
@@ -259,10 +281,8 @@ def _uniform(streams: np.ndarray, start: int, count: int, lo: float, hi: float) 
 
 
 def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
-    """(m, X, G, s, ok) for m = 1..cfg.max_centers: X stacks the cfg.trials
-    seeded sets of m centers, checked as validate_centers checks one set;
-    G holds their Grams, s the singular values of each (as np.linalg.cond
-    takes them) and ok which pass the singularity rule.
+    """(m, X) for m = 1..cfg.max_centers: X stacks the cfg.trials seeded
+    sets of m centers, checked as validate_centers checks one set.
 
     Trial k's set is sample_centers(lo, hi, m, rng) with rng seeded from
     SeedSequence(entropy=cfg.seed, spawn_key=(m, k)), by counter and never
@@ -281,11 +301,17 @@ def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
         require_in_domain(kernel.scalar, X, what="center")
         if not (np.diff(X, axis=1) > 0).all():
             raise DuplicateCenterError("centers must be pairwise distinct")
-        G = scalar_values(kernel.scalar, X[:, :, None], X[:, None, :])
-        scale = np.abs(G).max(axis=(1, 2))
-        # a non-finite Gram fails the rule anyway; LAPACK would refuse its SVD
-        s = np.linalg.svd(np.where(np.isfinite(scale)[:, None, None], G, 0.0), compute_uv=False)
-        yield m, X, G, s, nonsingular(s.min(axis=1), scale)
+        yield m, X
+
+
+def _gram_stack(kernel: OperatorKernel, X: np.ndarray):
+    """(G, s, ok) for the stacked center sets X: their Grams, the singular values
+    of each (as np.linalg.cond takes them) and which pass the singularity rule."""
+    G = scalar_values(kernel.scalar, X[:, :, None], X[:, None, :])
+    scale = np.abs(G).max(axis=(1, 2))
+    # a non-finite Gram fails the rule anyway; LAPACK would refuse its SVD
+    s = np.linalg.svd(np.where(np.isfinite(scale)[:, None, None], G, 0.0), compute_uv=False)
+    return G, s, nonsingular(s.min(axis=1), scale)
 
 
 def _stability_values(kernel: OperatorKernel, X: np.ndarray, G: np.ndarray,
@@ -352,55 +378,57 @@ def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: 
 def _grid_sup(kernel: OperatorKernel, probes: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Sampled per-set supremum for custom kernels, (worst, query) per set:
     the probes (nested grid plus the inward domain endpoints) with golden
-    refinement around the best of them, in lockstep over the sets, taken
-    in chunks of at most GRID_CHUNK probe values."""
+    refinement around the best of them, in lockstep over the sets."""
     lo, hi = kernel.scalar.domain
-    worst, query = np.empty(len(X)), np.empty(len(X))
-    step = max(1, GRID_CHUNK // (X.shape[1] * probes.size))
-    for r in range(0, len(X), step):
-        x, g = X[r:r + step], G[r:r + step]
-        vals = _stability_values(kernel, x, g, probes[None, :])
-        query[r:r + step], worst[r:r + step] = refine_max_rows(
-            lambda q: _stability_values(kernel, x, g, q[:, None])[:, 0],
-            probes, vals, lo, hi, iters=REFINE_ITERS)
+    vals = _stability_values(kernel, X, G, probes[None, :])
+    query, worst = refine_max_rows(lambda q: _stability_values(kernel, X, G, q[:, None])[:, 0],
+                                   probes, vals, lo, hi, iters=REFINE_ITERS)
     return worst, query
 
 
 def _set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
-    """The scan method for this kernel and its per-set supremum as a
-    function (X, G) -> (worst, query), one entry per center set."""
+    """The scan method for this kernel, its per-set supremum as a function
+    (X, G) -> (worst, query), one entry per center set, and the queries
+    of its widest stacked solve."""
     lo, hi = _require_bounded(kernel)
     # the floats nearest the domain endpoints, inside the open domain
     ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
     if kernel.scalar.family in BUILTIN_FAMILIES:
-        return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends)
+        return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends), 1
     probes = np.concatenate([vdc_points(lo, hi, cfg.grid_size), ends])
-    return "grid-golden", partial(_grid_sup, kernel, probes)
+    return "grid-golden", partial(_grid_sup, kernel, probes), probes.size
 
 
 def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
     """Worst stability value over seeded random center sets of every size
     up to cfg.max_centers, batched per size: the one scan behind
     lebesgue_scan and certify.  A Gram failing the singularity rule lists
-    its centers under singular and is skipped."""
-    method, set_sup = _set_sup(kernel, cfg)
+    its centers under singular and is skipped.  Each size runs in blocks of
+    sets whose Grams and widest solve hold at most PROBE_CHUNK values each;
+    stacked LAPACK calls run one matrix at a time, so blocks change no value."""
+    method, set_sup, width = _set_sup(kernel, cfg)
     scan = ScanResult(worst=-math.inf, centers=None, query=None, method=method)
-    for m, X, G, s, ok in _center_stacks(kernel, cfg):
-        scan.singular.extend(X[~ok].tolist())
-        if not ok.any():
-            continue
-        X, G = X[ok], G[ok]
-        scan.worst_cond = max(scan.worst_cond, float((s[ok, 0] / s[ok, -1]).max()))
-        try:  # one stacked call, which raises unless every Gram is numerically SPD
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            scan.cholesky_ok = False
-        vals, queries = set_sup(X, G)
-        scan.rows.extend(zip([m] * len(vals), np.flatnonzero(ok).tolist(), vals.tolist()))
-        # the first set attaining the size's maximum, as a sequential scan finds it
-        k = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
-        if vals[k] > scan.worst:
-            scan.worst, scan.centers, scan.query = float(vals[k]), X[k], float(queries[k])
+    for m, X in _center_stacks(kernel, cfg):
+        step = max(1, PROBE_CHUNK // (m * max(m, width)))
+        for r in range(0, len(X), step):
+            x = X[r:r + step]
+            G, s, ok = _gram_stack(kernel, x)
+            scan.singular.extend(x[~ok].tolist())
+            if not ok.any():
+                continue
+            x, G = x[ok], G[ok]
+            scan.worst_cond = max(scan.worst_cond, float((s[ok, 0] / s[ok, -1]).max()))
+            try:  # one stacked call, which raises unless every Gram is numerically SPD
+                np.linalg.cholesky(G)
+            except np.linalg.LinAlgError:
+                scan.cholesky_ok = False
+            vals, queries = set_sup(x, G)
+            trials = (r + np.flatnonzero(ok)).tolist()
+            scan.rows.extend(zip([m] * len(vals), trials, vals.tolist()))
+            # the first set attaining the maximum, as a sequential scan finds it
+            k = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
+            if vals[k] > scan.worst:
+                scan.worst, scan.centers, scan.query = float(vals[k]), x[k], float(queries[k])
     return scan
 
 
@@ -423,8 +451,12 @@ def _a2_sample(kernel: OperatorKernel, cfg: CertificationConfig) -> float:
         vdc_points(lo, hi, min(cfg.grid_size, 512)),
         _uniform(_streams(cfg.seed, 0, 1), 0, 512, lo, hi)[0],
     ])
-    vals = scalar_values(kernel.scalar, pts[:, None], pts[None, :])
-    return float(np.abs(vals).max())
+    # full rows in blocks of PROBE_CHUNK values: a custom kernel need not be
+    # symmetric bit for bit.  np.max keeps a NaN from any block
+    step = max(1, PROBE_CHUNK // pts.size)
+    blocks = (scalar_values(kernel.scalar, pts[r:r + step, None], pts[None, :])
+              for r in range(0, pts.size, step))
+    return float(np.max([np.abs(vals).max() for vals in blocks]))
 
 
 def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationReport:

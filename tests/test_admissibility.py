@@ -10,11 +10,14 @@ import pytest
 import scipy.optimize
 
 import groupkernels as gk
+from groupkernels import admissibility
 from groupkernels.admissibility import (
     CertificationConfig,
     _a2_sample,
     _center_stacks,
+    _gram_stack,
     _raw,
+    _scan_sets,
     _set_sup,
     _streams,
     certify,
@@ -226,7 +229,8 @@ def test_a2_sample_draws_the_spawn_key_0_0_stream():
     assert _a2_sample(gk.OperatorKernel(gk.custom(ones, (-2.0, 2.0)),
                                         gk.TaskCoupling.identity(1), p=2), cfg) == 1.0
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, 0)))
-    assert (seen[0][64:] == -2.0 + 4.0 * rng.random(512)).all()
+    # the x column of every row-block call, in order
+    assert (np.concatenate(seen)[64:] == -2.0 + 4.0 * rng.random(512)).all()
 
 
 def test_grid_scan_memory_is_bounded():
@@ -241,10 +245,59 @@ def test_grid_scan_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 6 * 2**20
     text = json.dumps(report.to_dict(), indent=2) + scan_rows_csv(report.rows)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2bfe5153487ce014d95bf2e6a653cb969921e22f789c163afceea987e49fa3cc")
+
+
+def _traced_peak(func):
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec,cfg,limit", [
+    # the a2 probe's full 1024 x 1024 block peaked at 16.3 MiB
+    (gk.wendland(), CertificationConfig(), 4 * 2**20),
+    # all 2,000 sets of a size in one stack peaked at 28.9 MiB; the rows
+    # list alone takes about 4.8 MiB
+    (gk.tfamily(1.0), CertificationConfig(max_centers=20, trials=2000), 14.5 * 2**20),
+], ids=["wendland 6x200", "tfamily t=1 20x2000"])
+def test_builtin_certify_memory_is_bounded(spec, cfg, limit):
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
+    assert _traced_peak(lambda: certify(K, cfg)) <= limit
+
+
+@pytest.mark.parametrize("spec", [
+    gk.tfamily(0.5),  # every set ties at 1: the witness is the first set
+    gk.tfamily(-1.0),  # a4 fails: the witness is a set with a value above 1
+    # singular sets at m = 5 and 6
+    gk.custom(lambda x, y: np.exp(-0.05 * (x - y) ** 2), domain=(0.0, 1.0)),
+    gk.custom(lambda x, y: 1.0 + np.abs(x - y), domain=(0.0, 1.0)),  # not SPD
+], ids=["tfamily t=0.5", "tfamily t=-1", "wide gaussian", "indefinite"])
+def test_scan_blocks_change_nothing(spec, monkeypatch):
+    # at a budget of 8 values a block holds 1 to 8 sets, where the default
+    # takes every size in one block
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
+    cfg = CertificationConfig(max_centers=6, grid_size=64, trials=60, seed=3)
+
+    def run():
+        report = certify(K, cfg)
+        text = json.dumps(report.to_dict(), indent=2) + scan_rows_csv(report.rows)
+        return _scan_sets(K, cfg), text
+
+    scan, text = run()
+    monkeypatch.setattr(admissibility, "PROBE_CHUNK", 8)
+    blocked, blocked_text = run()
+    assert blocked_text == text
+    assert blocked.centers.tolist() == scan.centers.tolist()
+    assert (blocked.worst, blocked.query, blocked.method) == (scan.worst, scan.query, scan.method)
+    assert blocked.rows == scan.rows and blocked.singular == scan.singular
+    assert (blocked.worst_cond, blocked.cholesky_ok) == (scan.worst_cond, scan.cholesky_ok)
 
 
 def test_certify_passes_for_stable_kernel():
@@ -398,12 +451,12 @@ def _dense_oracle(spec, centers, grid_size=20_000):
 def test_breakpoint_sup_dominates_dense_oracle(name, spec):
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
     cfg = CertificationConfig(max_centers=6, trials=20, seed=11)
-    method, set_sup = _set_sup(K, cfg)
+    method, set_sup, _ = _set_sup(K, cfg)
     assert method == "breakpoint-exact"
     sets = {}
-    for m, X, G, *_ in _center_stacks(K, cfg):  # 6 stacks of 20 seeded sets
+    for m, X in _center_stacks(K, cfg):  # 6 stacks of 20 seeded sets
         sets[m] = X
-        for centers, worst, query in zip(X, *set_sup(X, G), strict=True):
+        for centers, worst, query in zip(X, *set_sup(X, _gram_stack(K, X)[0]), strict=True):
             assert _dense_oracle(spec, centers) <= worst + 1e-10
             # the reported value is the one computed at the witness
             assert lebesgue_at(K, centers, query) == worst
@@ -439,7 +492,7 @@ def test_grid_scan_probes_domain_endpoints():
     # limit q -> 1, beyond the last grid point 0.998 of a 512-point grid
     spec = gk.custom(lambda x, y: np.minimum(x, y) + x * y, domain=(0.0, 1.0))
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
-    method, set_sup = _set_sup(K, CertificationConfig(grid_size=512))
+    method, set_sup, _ = _set_sup(K, CertificationConfig(grid_size=512))
     assert method == "grid-golden"
     centers = np.array([0.5, 0.9995])
     (worst,), (query,) = set_sup(centers[None], gram_assemble(K, centers).G[None])
@@ -472,8 +525,8 @@ def test_gram_assemble_follows_the_scan_singularity_rule():
     wide = gk.custom(lambda x, y: np.exp(-0.05 * (x - y) ** 2), domain=(0.0, 1.0))
     K = gk.OperatorKernel(wide, gk.TaskCoupling.identity(1), p=2)
     singular = []
-    for m, X, _, _, ok in _center_stacks(K, CertificationConfig(seed=0)):
-        for centers, good in zip(X, ok):
+    for m, X in _center_stacks(K, CertificationConfig(seed=0)):
+        for centers, good in zip(X, _gram_stack(K, X)[2]):
             if good:
                 assert gram_assemble(K, centers).m == m
             else:

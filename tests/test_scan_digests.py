@@ -24,8 +24,10 @@ SEED = 1201
 PINNED = ["--p", "2", "--coupling", "identity:2", "--max-centers=6", "--grid=512",
           "--trials=200", "--deterministic"]
 
-# (name, command, kernel flags, seed): the certify-pinned benchmark cases,
-# and wendland at 2**32 + 5, a seed whose entropy takes two 32-bit words
+# (name, command, kernel and budget flags, seed): the certify-pinned benchmark
+# cases, wendland at 2**32 + 5, a seed whose entropy takes two 32-bit words,
+# and tfamily t=0.5 at 12 x 1000, recorded while each size was one stack:
+# its 12-center sets and its a2 probe now take several blocks
 CLI_CASES = [
     ("tfamily t=1", "certify", ["--kernel", "tfamily", "--t", "1"], SEED),
     ("tfamily t=-1", "certify", ["--kernel", "tfamily", "--t", "-1"], SEED),
@@ -33,6 +35,8 @@ CLI_CASES = [
     ("exponential [-2,2]", "certify", ["--kernel", "exponential", "--domain=-2,2"], SEED),
     ("combination 1,1", "lebesgue-scan", ["--kernel", "combination", "--weights", "1,1"], SEED),
     ("wendland seed 2**32+5", "certify", ["--kernel", "wendland"], 2**32 + 5),
+    ("tfamily t=0.5 12x1000", "certify",
+     ["--kernel", "tfamily", "--t", "0.5", "--max-centers=12", "--trials=1000"], SEED),
 ]
 
 # the two custom kernels of test_admissibility.py, at a small budget: these
@@ -58,6 +62,8 @@ EXPECTED = {
     "combination 1,1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
     "wendland seed 2**32+5 report": "6ae8492134df1985d551209ddec2523e68af69174ae1b7962212a11e1939e132",
     "wendland seed 2**32+5 rows": "78a63b9131c0a26b7afb7f51986818811004eb3514e5451d36e0a48e7518758b",
+    "tfamily t=0.5 12x1000 report": "232aba0cf0dd1a696646f9e733e4eb4615b13062f510451f0d6af376d57c6dfc",
+    "tfamily t=0.5 12x1000 rows": "80fe8870d2858ae46f0f6932d64695c95fc9cc81ac27f1f7cfdb545a256711c5",
     "gaussian report": "5900dfb433a24f5dd42ad64f92632b1cbcbdae2b82ea943e808c9c51326d05f9",
     "gaussian rows": "9ff6c9b9d8891c448119be0feb6f3a155d17493e20f0c708480cc6e7124d82dc",
     "tfamily(-1) as custom report": "52a9ff96d7e105272813ff91589eb653cede1f1317136185be1243d5a628c791",
@@ -77,7 +83,7 @@ def scan_digests(tmp_path) -> dict:
     for name, command, flags, seed in CLI_CASES:
         report, rows = tmp_path / "report.json", tmp_path / "rows.csv"
         strict = ["--strict"] if command == "certify" else []
-        rc = run([command, *strict, *flags, *PINNED, f"--seed={seed}",
+        rc = run([command, *strict, *PINNED, *flags, f"--seed={seed}",
                   "--out", str(report), "--csv", str(rows)])
         assert rc == (2 if name == "tfamily t=-1" else 0), name
         out[f"{name} report"] = _sha(report.read_bytes())
