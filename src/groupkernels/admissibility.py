@@ -2,14 +2,16 @@
 
 a1 (invertible Grams) and a2 (uniform boundedness) are probed by seeded
 sampling; a4 (the interpolation stability constant bounded by 1) is
-scanned over random center sets, batched per set size: one stacked Gram,
-Cholesky, SVD and solve per block of the sets of a size, every Gram held
-to the singularity rule.  For the builtin families the supremum over queries
-of each set is exact (see _breakpoint_sup); custom kernels get a nested
-query grid with golden-section refinement, in lockstep over the sets.  a3
-(independence of infinite expansions) cannot be falsified by finite
-computation; for product kernels with a strictly positive definite scalar
-factor it is reported as implied by that structure.
+scanned over seeded random center sets, batched per set size: one stacked
+Gram, Cholesky, SVD and solve per block of the sets of a size, every Gram
+held to the singularity rule.  The sets are drawn by rank shift from a
+counter hash of (seed, size, index), with no rejection and no size
+ceiling (see _center_stacks).  For the builtin families the supremum over
+queries of each set is exact (see _breakpoint_sup); custom kernels get a
+nested query grid with golden-section refinement, in lockstep over the
+sets.  a3 (independence of infinite expansions) cannot be falsified by
+finite computation; for product kernels with a strictly positive definite
+scalar factor it is reported as implied by that structure.
 
 Certification is evidence, not proof: every report records the probe
 budget so a "pass" claim is scoped to it.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import asdict, dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -141,163 +143,58 @@ def _require_bounded(kernel: OperatorKernel) -> tuple[float, float]:
     return lo, hi
 
 
-def _draw_sets(lo: float, hi: float, m: int, rows: int, draw) -> np.ndarray:
-    """rows sorted sets of m centers in (lo, hi) with a minimum separation
-    of (hi - lo)/(10 m): draw(pending, done) gives the pending rows' next
-    attempts of m uniform draws, (pending, attempts, m), after the done
-    ones and at most MAX_ATTEMPTS - done of them; each row keeps its
-    first attempt that passes, sorted."""
-    min_sep = (hi - lo) / (10.0 * m)
-    out, todo, done = np.empty((rows, m)), np.arange(rows), 0
-    while todo.size:
-        if done >= MAX_ATTEMPTS:
-            raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} "
-                             f"in {MAX_ATTEMPTS} draws")
-        pts = np.sort(draw(todo, done), axis=2)
-        ok = ((pts[:, :, 0] > lo) & (pts[:, :, -1] < hi)
-              & (np.diff(pts).min(axis=2, initial=math.inf) >= min_sep))
-        hit = ok.any(axis=1)
-        out[todo[hit]] = pts[hit, ok[hit].argmax(axis=1)]
-        todo, done = todo[~hit], done + pts.shape[1]
-    return out
-
-
 def sample_centers(lo: float, hi: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m sorted centers drawn uniformly from (lo, hi) with a minimum
-    separation of (hi - lo)/(10 m) to avoid spurious near-duplicates."""
-    return _draw_sets(lo, hi, m, 1, lambda todo, done: rng.uniform(lo, hi, size=(1, 1, m)))[0]
+    separation of (hi - lo)/(10 m) to avoid spurious near-duplicates: the
+    first of at most MAX_ATTEMPTS draws of m uniforms from rng that passes."""
+    min_sep = (hi - lo) / (10.0 * m)
+    for _ in range(MAX_ATTEMPTS):
+        pts = np.sort(rng.uniform(lo, hi, m))
+        if pts[0] > lo and pts[-1] < hi and np.diff(pts).min(initial=math.inf) >= min_sep:
+            return pts
+    raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} "
+                     f"in {MAX_ATTEMPTS} draws")
 
 
-_M32 = 0xFFFFFFFF
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64 = (1 << 64) - 1
 
 
-def _hasher(h: int, mult: int):
-    """SeedSequence's hash with its running constant h, as a function of
-    the words to hash (a uint32 array or an int)."""
-    def hashmix(v):
-        nonlocal h
-        v = (v ^ h) * (h := h * mult & _M32) & _M32  # xor with h, multiply by the next h
-        return v ^ v >> 16
-    return hashmix
+def _mix(z):
+    """The SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), a
+    bijection of 64-bit words, on a Python int or a uint64 array."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
 
 
-def _mix(x, y):
-    """SeedSequence's mix, 0xCA01F9DD x - 0x4973F715 y mod 2**32, then a shift-xor."""
-    r = ((0xCA01F9DD * x & _M32) + (0xB68C08EB * y & _M32)) & _M32
-    return r ^ r >> 16
-
-
-def _limbs(*values: int) -> np.ndarray:
-    """Python ints mod 2**128 as (4, len(values)) uint64 32-bit limbs, low limb first."""
-    raw = b"".join((v % (1 << 128)).to_bytes(16, "little") for v in values)
-    return np.frombuffer(raw, dtype="<u4").reshape(len(values), 4).T.astype(np.uint64)
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x[:, 0] y[:, 0] + x[:, 1] y[:, 1] mod 2**128 for (4, 2, ...) uint64
-    arrays of 32-bit limbs, low limb first, broadcast against each other.
-    Limb i of x times limb c - i of y adds to columns c and c + 1."""
-    out, carry = [], 0
-    for c in range(4):
-        t, i = np.divmod(np.arange(2 * c + 2), c + 1)
-        prod = x[i, t] * y[c - i, t]
-        col = (prod & _M32).sum(axis=0) + carry
-        out.append(col & _M32)
-        if c < 3:  # what the top column carries falls beyond 2**128
-            carry = (prod >> 32).sum(axis=0) + (col >> 32)
-    return np.stack(out)
-
-
-def _streams(seed: int, key: int, trials: int) -> np.ndarray:
-    """The PCG64 streams np.random.default_rng(SeedSequence(entropy=seed,
-    spawn_key=(key, trial))) draws from, trial = 0..trials-1, as a
-    (4, 2, trials) uint64 array: the initial state and the increment
-    (initseq << 1) | 1 of each stream, in 32-bit limbs, low limb first.
-
-    The SeedSequence pool hashing and generate_state(4, uint64) run on all
-    trials at once; words shared by every trial stay Python ints."""
+def _uniform(seed: int, key: int, count: int, lo: float, hi: float) -> np.ndarray:
+    """count uniforms on (lo, hi), value i a hash of (seed, key, i) alone, by
+    counter (Salmon et al., SC 2011): the 64-bit words of seed, then key,
+    chained through _mix start a SplitMix64 sequence, and value i keeps 52
+    bits of its output i + 1, centred in their cell so that it is never 0."""
     seed = operator.index(seed)
-    words = [seed >> 32 * i & _M32 for i in range(max(1, -(-seed.bit_length() // 32)))]
-    words += [0] * (4 - len(words)) + [key, np.arange(trials, dtype=np.uint32)]
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(w) for w in words[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(w))
-    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    # as uint64, out[1]:out[0] and out[3]:out[2] are the high and low halves
-    # of the initial state, out[5]:out[4] and out[7]:out[6] those of initseq
-    seq = np.array([out[6], out[7], out[4], out[5]])
-    inc = seq << 1 & _M32
-    inc[1:] |= seq[:-1] >> 31
-    inc[0] |= 1
-    return np.stack([np.array([out[2], out[3], out[0], out[1]]), inc], axis=1)
-
-
-def _cum(k: int) -> int:
-    """c_k = 1 + a + ... + a**(k-1) mod 2**128 for the PCG64 multiplier a:
-    (a**k - 1)/(a - 1), exact when a**k is reduced mod (a - 1) 2**128."""
-    return (pow(_PCG_MULT, k, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
-
-
-@cache
-def _jumps(e: int) -> np.ndarray:
-    """(a**k, c_k) for k = 0 .. 2**e - 1 as (4, 2, 2**e) limbs, k steps
-    x -> a x + inc taking x to a**k x + c_k inc; by doubling, as k + n steps
-    are n steps after k: a**(k+n) = a**n a**k and c_(k+n) = a**n c_k + c_n."""
-    if e == 0:
-        return _limbs(1, 0)[:, :, None]
-    half, n = _jumps(e - 1), 1 << e - 1
-    step = np.stack([half, np.broadcast_to(_limbs(0, 1)[:, :, None], half.shape)], axis=1)
-    jump = _limbs(pow(_PCG_MULT, n, 1 << 128), _cum(n))[:, :, None, None]
-    return np.concatenate([half, _dot(jump, step)], axis=2)
-
-
-def _raw(streams: np.ndarray, start: int, count: int) -> np.ndarray:
-    """Outputs start + 1 .. start + count of each of the _streams, as
-    (trials, count) uint64, what PCG64.random_raw gives.
-
-    PCG64 seeds by a step from 0, adding the state, and a step; so output k
-    comes from the state a**(k+1) state + c_(k+2) inc, and the outputs after
-    the first by its _jumps: multiply-adds on 32-bit limbs, then XSL-RR."""
-    x = _dot(_limbs(pow(_PCG_MULT, start + 2, 1 << 128), _cum(start + 3))[:, :, None], streams)
-    jumps = _jumps(max(0, count - 1).bit_length())[:, :, None, :count]
-    x = _dot(jumps, np.stack([x, streams[:, 1]], axis=1)[:, :, :, None])  # (4, trials, count)
-    xor = (x[3] << 32 | x[2]) ^ (x[1] << 32 | x[0])
-    rot = x[3] >> 26
-    return xor >> rot | xor << (64 - rot & 63)
-
-
-def _uniform(streams: np.ndarray, start: int, count: int, lo: float, hi: float) -> np.ndarray:
-    """_raw's outputs as Generator.uniform(lo, hi) makes them, through the
-    double (raw >> 11) 2**-53 of Generator.random."""
-    return lo + (hi - lo) * ((_raw(streams, start, count) >> 11) * 2.0**-53)
+    words = [seed >> 64 * j & _M64 for j in range(max(1, -(-seed.bit_length() // 64)))]
+    h = 0
+    for w in [*words, key]:
+        h = _mix(h ^ w)
+    z = _mix(h + np.arange(1, count + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15)
+    return lo + (hi - lo) * (((z >> 12) + 0.5) * 2.0**-52)
 
 
 def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
     """(m, X) for m = 1..cfg.max_centers: X stacks the cfg.trials seeded
     sets of m centers, checked as validate_centers checks one set.
 
-    Trial k's set is sample_centers(lo, hi, m, rng) with rng seeded from
-    SeedSequence(entropy=cfg.seed, spawn_key=(m, k)), by counter and never
-    by a shared stream, so it does not depend on how many trials ran
-    before it; all trials are drawn at once (_streams, _raw)."""
+    Set k is m sorted uniforms on (lo, hi - (m - 1) sep), shifted by their
+    rank times sep = (hi - lo)/(10 m): the uniform law on the sorted sets
+    with gaps of at least sep, which sample_centers draws by rejection, from
+    exactly m values.  These are values k m .. k m + m - 1 of the key-m
+    _uniform stream, so set k depends on (seed, m, k) alone."""
     lo, hi = _require_bounded(kernel)
     for m in range(1, cfg.max_centers + 1):
-        streams = _streams(cfg.seed, m, cfg.trials)
-
-        def draw(todo, done):
-            # 1, 1, 2, 4, ... attempts per round, at most 2**15 draws after the first
-            n = max(1, min(done, MAX_ATTEMPTS - done, (1 << 15) // (todo.size * m)))
-            return _uniform(streams[:, :, todo], done * m, n * m, lo, hi).reshape(todo.size, n, m)
-
-        X = _draw_sets(lo, hi, m, cfg.trials, draw)
+        sep = (hi - lo) / (10.0 * m)
+        u = _uniform(cfg.seed, m, cfg.trials * m, lo, hi - (m - 1) * sep)
+        X = np.sort(u.reshape(cfg.trials, m), axis=1) + sep * np.arange(m)
         require_in_domain(kernel.scalar, X, what="center")
         if not (np.diff(X, axis=1) > 0).all():
             raise DuplicateCenterError("centers must be pairwise distinct")
@@ -446,11 +343,9 @@ def _a2_sample(kernel: OperatorKernel, cfg: CertificationConfig) -> float:
     """Max |G| over sampled point pairs: nested grid points plus seeded
     uniform draws, all pairs including the diagonal."""
     lo, hi = _require_bounded(kernel)
-    # the stream of spawn key (0, 0), which no center set uses (m >= 1)
-    pts = np.concatenate([
-        vdc_points(lo, hi, min(cfg.grid_size, 512)),
-        _uniform(_streams(cfg.seed, 0, 1), 0, 512, lo, hi)[0],
-    ])
+    # the stream of key 0, which no center set uses (m >= 1)
+    pts = np.concatenate([vdc_points(lo, hi, min(cfg.grid_size, 512)),
+                          _uniform(cfg.seed, 0, 512, lo, hi)])
     # full rows in blocks of PROBE_CHUNK values: a custom kernel need not be
     # symmetric bit for bit.  np.max keeps a NaN from any block
     step = max(1, PROBE_CHUNK // pts.size)

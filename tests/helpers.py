@@ -11,10 +11,37 @@ from groupkernels.admissibility import sample_centers
 from groupkernels.blocklinalg import BlockVector, block_norms
 
 
-def trial_rng(seed, m, trial):
-    """The Generator of certification trial `trial` at set size m: seeded by
-    counter from (seed, m, trial), the per-trial oracle of the scan draws."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(m, trial)))
+def mix64(z):
+    """The SplitMix64 finalizer on a Python int below 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+    return z ^ z >> 31
+
+
+def splitmix64(state, i):
+    """Output i (from 0) of the SplitMix64 generator seeded with state, on
+    Python ints: the published algorithm, scalar oracle of the scan draws."""
+    return mix64((state + (i + 1) * 0x9E3779B97F4A7C15) % 2**64)
+
+
+def hash_uniform(seed, key, i, lo, hi):
+    """Value i of the (seed, key) certification stream on (lo, hi): the
+    64-bit words of seed, then key, each xored into the running state and
+    mixed, seed a SplitMix64 sequence; 52 bits of its output i, centred in
+    their cell."""
+    words = [seed >> 64 * j & 2**64 - 1 for j in range(max(1, -(-seed.bit_length() // 64)))]
+    state = 0
+    for w in [*words, key]:
+        state = mix64(state ^ w)
+    return lo + (hi - lo) * (((splitmix64(state, i) >> 12) + 0.5) * 2.0**-52)
+
+
+def trial_centers(seed, lo, hi, m, trial):
+    """Certification set `trial` of size m, one set at a time: m stream
+    values sorted, then shifted by rank times (hi - lo)/(10 m)."""
+    sep = (hi - lo) / (10.0 * m)
+    u = sorted(hash_uniform(seed, m, trial * m + k, lo, hi - (m - 1) * sep) for k in range(m))
+    return np.array(u) + sep * np.arange(m)
 
 
 def random_spd(n, rng, eig_range=(0.5, 2.0)):

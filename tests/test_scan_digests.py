@@ -1,14 +1,11 @@
 """Byte-identity guard for certification output.
 
-The digests below were recorded from the per-set scan that the batched
-scan replaced, and pin its reports bit for bit: every row value, the
-witness, a1.worst_cond and a1.cholesky_ok.  The wendland case at seed
-2**32 + 5 was recorded while each center set still drew from its own
-numpy Generator, before the draws were computed for all trials at once.
-C10 only compares two runs of the same code, so without this guard a
-change in rounding of the scan would go unnoticed.  The digests are tied to the installed numpy
-and its LAPACK: a different build may round a solve or an SVD
-differently.
+The digests below pin the reports and row CSVs bit for bit: every row
+value, the witness, a1.worst_cond and a1.cholesky_ok, at the rank-shift
+draws of admissibility._center_stacks.  C10 only compares two runs of the
+same code, so without this guard a change in rounding of the scan would go
+unnoticed.  The digests are tied to the installed numpy and its LAPACK: a
+different build may round a solve or an SVD differently.
 """
 
 import hashlib
@@ -25,9 +22,8 @@ PINNED = ["--p", "2", "--coupling", "identity:2", "--max-centers=6", "--grid=512
           "--trials=200", "--deterministic"]
 
 # (name, command, kernel and budget flags, seed): the certify-pinned benchmark
-# cases, wendland at 2**32 + 5, a seed whose entropy takes two 32-bit words,
-# and tfamily t=0.5 at 12 x 1000, recorded while each size was one stack:
-# its 12-center sets and its a2 probe now take several blocks
+# cases, wendland at 2**32 + 5, a seed above 32 bits, and tfamily t=0.5 at
+# 12 x 1000, whose 12-center sets and a2 probe take several blocks
 CLI_CASES = [
     ("tfamily t=1", "certify", ["--kernel", "tfamily", "--t", "1"], SEED),
     ("tfamily t=-1", "certify", ["--kernel", "tfamily", "--t", "-1"], SEED),
@@ -50,26 +46,26 @@ CUSTOM_CASES = [
 CUSTOM_CFG = CertificationConfig(max_centers=4, grid_size=128, trials=30, seed=0)
 
 EXPECTED = {
-    "tfamily t=1 report": "ecd825fe6bcab7cc0505f740bc54becfd0519f759cc706bfdd44bc4b664a87d3",
+    "tfamily t=1 report": "d80be6fd4ce9e552fe6bc9afe9466bfc895cae9a8909f04df1391d587674c976",
     "tfamily t=1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "tfamily t=-1 report": "50b4b388f9f83b3ac78ea593f06d95580aa21bf59bbf7617f44781ebbe3c9203",
-    "tfamily t=-1 rows": "66f9570a002bd00f79ddb2d0bee724c26e661c230b961a3a65fb26b0c44a28ad",
-    "wendland report": "69813f164ba2a3f78b275f4f2badda32d7c1fd3eaa3f4eeb1b91ddce9f01bda4",
-    "wendland rows": "bab07ccbd7602089049f6edf69f5e6ef2723d430a7a4998478fee0638c593b32",
-    "exponential [-2,2] report": "9e120991daf8c71f6077c9b4a30df67f6c703e4c637908f6a5c7c49af33650cb",
+    "tfamily t=-1 report": "8590a0fdc7011be07263a6069390496c653493e5f3711ddccaa71ff40c31ffed",
+    "tfamily t=-1 rows": "e0c089f8774012f81029101ee1ca644c0b48b5ac5d1c8a755898f849ec4e396a",
+    "wendland report": "6da5be7125703cd3bd2f5ffb30f6501585de77159fddb37001ea2676d20158fe",
+    "wendland rows": "379182739e93265b843c2e012d2c387b735f6ee8f1dbcc75d5ff83744a08f529",
+    "exponential [-2,2] report": "0e478fb599ca76ff0755ef92b75a6e769c416b63256a7ed5d76739b4acbc8658",
     "exponential [-2,2] rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "combination 1,1 report": "9fb4fb8bfa9a43773e4344a7cf5029f88139b6d694ddf1cd3f6b3c3ea9316761",
+    "combination 1,1 report": "d969c07551ed730ac00923e7ccf1a4dd214cb2af281695d2f3fb5a08e325a210",
     "combination 1,1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "wendland seed 2**32+5 report": "6ae8492134df1985d551209ddec2523e68af69174ae1b7962212a11e1939e132",
-    "wendland seed 2**32+5 rows": "78a63b9131c0a26b7afb7f51986818811004eb3514e5451d36e0a48e7518758b",
-    "tfamily t=0.5 12x1000 report": "232aba0cf0dd1a696646f9e733e4eb4615b13062f510451f0d6af376d57c6dfc",
+    "wendland seed 2**32+5 report": "05d0e4fdf45d108af850b4a62da6545095b64241891d8dbbc21ea976493971ba",
+    "wendland seed 2**32+5 rows": "a15606834be4679c6250f3e4a651c4cd16653dcd77cf378aa9857ef770a6798c",
+    "tfamily t=0.5 12x1000 report": "937bb6e31eccadcf87bf2e910e8ffc60810ebf27a6fb1a7bda7073432b482248",
     "tfamily t=0.5 12x1000 rows": "80fe8870d2858ae46f0f6932d64695c95fc9cc81ac27f1f7cfdb545a256711c5",
-    "gaussian report": "5900dfb433a24f5dd42ad64f92632b1cbcbdae2b82ea943e808c9c51326d05f9",
-    "gaussian rows": "9ff6c9b9d8891c448119be0feb6f3a155d17493e20f0c708480cc6e7124d82dc",
-    "tfamily(-1) as custom report": "52a9ff96d7e105272813ff91589eb653cede1f1317136185be1243d5a628c791",
-    "tfamily(-1) as custom rows": "5452daf4975fe3f79c2755cc29cb9c2c07a212e229ca646749ed5fb19bf2680b",
-    "indefinite report": "880dbd45b76da5646668b35de5b52ba15f3ce14da8e5c654148d91ac88868927",
-    "indefinite rows": "2fdd30c23635a3f3adf3990cda02a3260599c428f523a378f38aa63cd9c0ff6e",
+    "gaussian report": "97ce9792ab9b409f580d449679fd2c3613020f299fbfd6abfeb396adacc3f5a6",
+    "gaussian rows": "bc671b9d2bff8a771aa7518a082a34f039c6dcbc6bc9b7737879e8d5427e821d",
+    "tfamily(-1) as custom report": "e2b74f29373dd2bfd3ef5be08f9053e48388087f13319b02c04fcd52b0ae894f",
+    "tfamily(-1) as custom rows": "cd4b411478d3b578e96e38226de5a8cf4b11f8d7843b40e7449a6493eeca4104",
+    "indefinite report": "6d3bc58776dc9ca329807b172028fcea374870920fee24aef17a81604c205405",
+    "indefinite rows": "1323a59ec574fb4701cb611bc8c82cc4d3d364c915278c58215b722f2eafa41f",
 }
 
 
