@@ -28,7 +28,7 @@ import numpy as np
 
 from .blocklinalg import coupling_opnorm, gram_assemble, nonsingular
 from .errors import DomainError, DuplicateCenterError, OrderError, ShapeError, SingularError
-from .gridsearch import refine_max_rows, vdc_points
+from .gridsearch import probe_argmax, refine_max_rows, vdc_points
 from .kernels import (
     BUILTIN_FAMILIES,
     OperatorKernel,
@@ -40,7 +40,7 @@ from .kernels import (
 
 REFINE_ITERS = 30
 MAX_ATTEMPTS = 1000  # draws of a center set before sample_centers gives up
-PROBE_CHUNK = 1 << 17  # float64 values per probe temporary (1 MiB): rows per block
+PROBE_CHUNK = 1 << 14  # float64 values per probe temporary (128 KiB): rows per block
 
 
 @dataclass(frozen=True)
@@ -78,19 +78,20 @@ class ScanResult:
     centers: np.ndarray
     query: float
     method: str  # "breakpoint-exact" (builtin families) or "grid-golden"
-    rows: list = field(default_factory=list)  # (m, trial, worst-per-set)
+    # (m, trial, worst) per scanned set, one row each
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     singular: list = field(default_factory=list)  # centers failing the singularity rule
     worst_cond: float = 0.0  # of the other Grams
     cholesky_ok: bool = True  # whether Cholesky accepted all the other Grams
 
     def a4_passes(self, tolerance: float) -> bool:
         """The a4 rule: a set was scanned and none exceeds 1 + tolerance."""
-        return bool(self.rows) and self.worst <= 1.0 + tolerance
+        return len(self.rows) > 0 and self.worst <= 1.0 + tolerance
 
     def a4_dict(self) -> dict:
         """The a4 section of a report; worst is None when no set was scanned."""
         return {
-            "worst": self.worst if self.rows else None,
+            "worst": self.worst if len(self.rows) else None,
             "centers": None if self.centers is None else [float(v) for v in self.centers],
             "query": self.query,
             "method": self.method,
@@ -105,7 +106,7 @@ class CertificationReport:
     a2: dict
     a4: dict
     verdict: dict
-    rows: list = field(default_factory=list, repr=False)  # (m, trial, worst)
+    rows: np.ndarray = field(repr=False)  # as in ScanResult
 
     def to_dict(self) -> dict:
         return {
@@ -215,16 +216,18 @@ def _stability_values(kernel: OperatorKernel, X: np.ndarray, G: np.ndarray,
                       Q: np.ndarray) -> np.ndarray:
     """sum_i |b_i| with G[x] b = G_x(query) for each center set (a row of X,
     its Gram in G) at its queries (a row of Q, or one row shared by all
-    sets), by one stacked solve.
+    sets), by one stacked solve.  Leading axes of Q before its (sets,
+    queries) axes broadcast over the solve, so Q of shape (k, 1, 1) takes
+    k one-column solves per set in one call.
 
     For product kernels this is the exact grouped operator norm of
     K[x]^{-1} K_x(query) for every p: the coupling cancels and the column
     blocks are b_i times the identity.  A query colliding exactly with a
     center yields exactly 1 (b is a standard basis vector).
     """
-    g = scalar_values(kernel.scalar, Q[:, None, :], X[:, :, None])
-    vals = np.abs(np.linalg.solve(G, g)).sum(axis=1)
-    vals[(Q[:, :, None] == X[:, None, :]).any(axis=2)] = 1.0
+    g = scalar_values(kernel.scalar, Q[..., None, :], X[:, :, None])
+    vals = np.abs(np.linalg.solve(G, g)).sum(axis=-2)
+    vals[(Q[..., :, None] == X[:, None, :]).any(axis=-1)] = 1.0
     return vals
 
 
@@ -265,7 +268,7 @@ def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: 
     lebesgue_at reproduces the reported value: like it, each end gets a
     one-column solve (LAPACK may round a two-column solve differently).
     """
-    vals = np.hstack([_stability_values(kernel, X, G, np.array([[q]])) for q in ends])
+    vals = _stability_values(kernel, X, G, ends[:, None, None])[..., 0].T
     k = vals.argmax(axis=1)
     top = vals[np.arange(len(X)), k]
     over = top > 1.0
@@ -275,25 +278,30 @@ def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: 
 def _grid_sup(kernel: OperatorKernel, probes: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Sampled per-set supremum for custom kernels, (worst, query) per set:
     the probes (nested grid plus the inward domain endpoints) with golden
-    refinement around the best of them, in lockstep over the sets."""
+    refinement around the best of them, in lockstep over the sets.  The
+    probe solves run in sub-blocks of sets holding at most PROBE_CHUNK
+    values, of which each set keeps its best probe alone."""
     lo, hi = kernel.scalar.domain
-    vals = _stability_values(kernel, X, G, probes[None, :])
+    order = np.argsort(probes)
+    step = max(1, PROBE_CHUNK // (X.shape[1] * probes.size))
+    best = [probe_argmax(_stability_values(kernel, X[r:r + step], G[r:r + step], probes[None, :]),
+                         order) for r in range(0, len(X), step)]
     query, worst = refine_max_rows(lambda q: _stability_values(kernel, X, G, q[:, None])[:, 0],
-                                   probes, vals, lo, hi, iters=REFINE_ITERS)
+                                   probes, *map(np.concatenate, zip(*best)), lo, hi,
+                                   iters=REFINE_ITERS)
     return worst, query
 
 
 def _set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
-    """The scan method for this kernel, its per-set supremum as a function
-    (X, G) -> (worst, query), one entry per center set, and the queries
-    of its widest stacked solve."""
+    """The scan method for this kernel and its per-set supremum as a
+    function (X, G) -> (worst, query), one entry per center set."""
     lo, hi = _require_bounded(kernel)
     # the floats nearest the domain endpoints, inside the open domain
     ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
     if kernel.scalar.family in BUILTIN_FAMILIES:
-        return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends), 1
+        return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends)
     probes = np.concatenate([vdc_points(lo, hi, cfg.grid_size), ends])
-    return "grid-golden", partial(_grid_sup, kernel, probes), probes.size
+    return "grid-golden", partial(_grid_sup, kernel, probes)
 
 
 def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
@@ -301,12 +309,14 @@ def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
     up to cfg.max_centers, batched per size: the one scan behind
     lebesgue_scan and certify.  A Gram failing the singularity rule lists
     its centers under singular and is skipped.  Each size runs in blocks of
-    sets whose Grams and widest solve hold at most PROBE_CHUNK values each;
-    stacked LAPACK calls run one matrix at a time, so blocks change no value."""
-    method, set_sup, width = _set_sup(kernel, cfg)
+    sets whose Grams hold at most PROBE_CHUNK values (the custom probe grid
+    splits a block further, see _grid_sup); stacked LAPACK calls run one
+    matrix at a time, so blocks change no value."""
+    method, set_sup = _set_sup(kernel, cfg)
     scan = ScanResult(worst=-math.inf, centers=None, query=None, method=method)
+    rows, n = np.empty((cfg.max_centers * cfg.trials, 3)), 0
     for m, X in _center_stacks(kernel, cfg):
-        step = max(1, PROBE_CHUNK // (m * max(m, width)))
+        step = max(1, PROBE_CHUNK // (m * m))
         for r in range(0, len(X), step):
             x = X[r:r + step]
             G, s, ok = _gram_stack(kernel, x)
@@ -320,12 +330,14 @@ def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
             except np.linalg.LinAlgError:
                 scan.cholesky_ok = False
             vals, queries = set_sup(x, G)
-            trials = (r + np.flatnonzero(ok)).tolist()
-            scan.rows.extend(zip([m] * len(vals), trials, vals.tolist()))
+            rows[n:n + len(vals)] = np.column_stack([np.full(len(vals), m),
+                                                     r + np.flatnonzero(ok), vals])
+            n += len(vals)
             # the first set attaining the maximum, as a sequential scan finds it
             k = int(np.argmax(np.where(np.isnan(vals), -math.inf, vals)))
             if vals[k] > scan.worst:
                 scan.worst, scan.centers, scan.query = float(vals[k]), x[k], float(queries[k])
+    scan.rows = rows[:n]
     return scan
 
 
@@ -420,8 +432,8 @@ def scan_report_dict(kernel: OperatorKernel, cfg: CertificationConfig,
 
 
 def scan_rows_csv(rows) -> str:
-    """CSV text of (m, trial, worst) rows for plotting."""
+    """CSV text of the (sets, 3) array of (m, trial, worst) rows, for plotting."""
     lines = ["m,trial,worst_lambda"]
-    for m, trial, val in rows:
-        lines.append(f"{m},{trial},{val!r}")
+    for m, trial, val in rows.tolist():
+        lines.append(f"{int(m)},{int(trial)},{val!r}")
     return "\n".join(lines) + "\n"

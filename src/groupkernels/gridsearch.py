@@ -27,16 +27,22 @@ def vdc_points(lo: float, hi: float, size: int) -> np.ndarray:
     return lo + (hi - lo) * frac
 
 
-def refine_max_rows(f, probes: np.ndarray, values: np.ndarray, lo: float, hi: float,
-                    iters: int = 30):
-    """Golden-section maximization in lockstep over the rows of values (one
-    function's values at the probes per row), each bracketed by the
-    neighbours of its best probe; f maps one query per row to its value.
-    Returns (x, v) per row: the best point seen, or the first probe at
-    the row's maximum if that is at least as high."""
-    order = np.argsort(probes)
-    sorted_p = probes[order]
-    k = values[:, order].argmax(axis=1)
+def probe_argmax(values: np.ndarray, order: np.ndarray):
+    """(j, k, top) per row of values (one function's values at the probes):
+    the first argmax in probe order, the first argmax in the sorted probe
+    order `order` (np.argsort of the probes) and the top value."""
+    j = values.argmax(axis=1)
+    return j, values[:, order].argmax(axis=1), values[np.arange(j.size), j]
+
+
+def refine_max_rows(f, probes: np.ndarray, j: np.ndarray, k: np.ndarray, top: np.ndarray,
+                    lo: float, hi: float, iters: int = 30):
+    """Golden-section maximization in lockstep over rows, one function per
+    row, from its best probe as probe_argmax gives it (j, k, top): each row
+    is bracketed by the neighbours of its sorted argmax k; f maps one query
+    per row to its value.  Returns (x, v) per row: the best point seen, or
+    probes[j] at top if that is at least as high."""
+    sorted_p = np.sort(probes)
     a = np.where(k > 0, sorted_p[k - 1], lo)
     b = np.where(k + 1 < probes.size, sorted_p[np.minimum(k + 1, probes.size - 1)], hi)
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
@@ -55,16 +61,15 @@ def refine_max_rows(f, probes: np.ndarray, values: np.ndarray, lo: float, hi: fl
         x, v = np.where(up, c, d), np.where(up, fc, fd)
         better = v > best_v
         best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-    j = values.argmax(axis=1)
-    top = values[np.arange(j.size), j]
     keep = top >= best_v
     return np.where(keep, probes[j], best_x), np.where(keep, top, best_v)
 
 
 def refine_max(f, probes: np.ndarray, values: np.ndarray, lo: float, hi: float,
                iters: int = 30):
-    """refine_max_rows for one function: f maps a query to its value, and
-    the result (x, v) is a pair of floats."""
-    x, v = refine_max_rows(lambda q: np.array([f(q[0])]), probes, values[None, :], lo, hi,
+    """refine_max_rows for one function, from its values at the probes: f
+    maps a query to its value, and the result (x, v) is a pair of floats."""
+    x, v = refine_max_rows(lambda q: np.array([f(q[0])]), probes,
+                           *probe_argmax(values[None, :], np.argsort(probes)), lo, hi,
                            iters=iters)
     return float(x[0]), float(v[0])

@@ -138,7 +138,10 @@ def test_coupling_and_p_invariance():
 def test_scan_small_budget_bridge():
     res = lebesgue_scan(BRIDGE, SMALL)
     assert res.worst <= 1.0 + 1e-8
-    assert len(res.rows) == SMALL.max_centers * SMALL.trials
+    # one (m, trial, worst) row per set, in scan order
+    assert res.rows.shape == (SMALL.max_centers * SMALL.trials, 3)
+    assert res.rows[:, :2].tolist() == [[m, t] for m in range(1, SMALL.max_centers + 1)
+                                        for t in range(SMALL.trials)]
     assert res.centers is not None and res.query is not None
 
 
@@ -277,8 +280,9 @@ def test_a2_sample_draws_the_key_0_stream():
 
 def test_grid_scan_memory_is_bounded():
     # the custom-kernel scan stacks its sets in chunks: 200 sets of 6 centers
-    # against 4,098 probes peaked at 112.8 MiB in one stack.  The chunks
-    # change no byte (test_scan_blocks_change_nothing); the digest pins the
+    # against 4,098 probes peaked at 112.8 MiB in one stack, and 3.0 MiB in
+    # blocks of 1 MiB temporaries; at 128 KiB it peaks at 0.84 MiB.  The
+    # chunks change no byte (test_scan_blocks_change_nothing); the digest pins the
     # rank-shift draws, of which one 6-center Gram fails the singularity rule
     # (about 1.2 per 200 at m = 6 under either sampler, so a1 fails at most
     # seeds)
@@ -290,7 +294,7 @@ def test_grid_scan_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6 * 2**20
+    assert peak < 1.5 * 2**20
     text = json.dumps(report.to_dict(), indent=2) + scan_rows_csv(report.rows)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2dafe3c4b0dae8695a0f8fff70618060052b908e7b03355ee4bea58553df4a8a")
@@ -306,15 +310,26 @@ def _traced_peak(func):
 
 
 @pytest.mark.parametrize("spec,cfg,limit", [
-    # the a2 probe's full 1024 x 1024 block peaked at 16.3 MiB
-    (gk.wendland(), CertificationConfig(), 4 * 2**20),
-    # all 2,000 sets of a size in one stack peaked at 28.9 MiB; the rows
-    # list alone takes about 4.8 MiB
-    (gk.tfamily(1.0), CertificationConfig(max_centers=20, trials=2000), 14.5 * 2**20),
+    # the a2 probe's full 1024 x 1024 block peaked at 16.3 MiB, its blocks
+    # of 1 MiB rows at 3.1 MiB; it peaks at 0.43 MiB
+    (gk.wendland(), CertificationConfig(), 0.75 * 2**20),
+    # all 2,000 sets of a size in one stack peaked at 28.9 MiB, and 8.4 MiB
+    # in 1 MiB blocks with a list of row tuples (about 4.6 MiB); the rows
+    # array takes 0.9 MiB of its 2.6 MiB
+    (gk.tfamily(1.0), CertificationConfig(max_centers=20, trials=2000), 3.5 * 2**20),
 ], ids=["wendland 6x200", "tfamily t=1 20x2000"])
 def test_builtin_certify_memory_is_bounded(spec, cfg, limit):
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
     assert _traced_peak(lambda: certify(K, cfg)) <= limit
+
+
+def test_a2_sample_memory_is_bounded():
+    # blocks of 16 rows of the 1,024 pair points: about three 1 MiB blocks
+    # of rows were alive at once, a peak of 3.0 MiB; now 0.39 MiB
+    gauss = gk.custom(lambda x, y: np.exp(-((x - y) ** 2)), domain=(0.0, 1.0))
+    for spec in (gk.wendland(), gauss):
+        K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
+        assert _traced_peak(lambda: _a2_sample(K, CertificationConfig())) < 0.5 * 2**20
 
 
 @pytest.mark.parametrize("spec", [
@@ -325,8 +340,9 @@ def test_builtin_certify_memory_is_bounded(spec, cfg, limit):
     gk.custom(lambda x, y: 1.0 + np.abs(x - y), domain=(0.0, 1.0)),  # not SPD
 ], ids=["tfamily t=0.5", "tfamily t=-1", "wide gaussian", "indefinite"])
 def test_scan_blocks_change_nothing(spec, monkeypatch):
-    # at a budget of 8 values a block holds 1 to 8 sets, where the default
-    # takes every size in one block
+    # the default takes every size in one block.  At a budget of 8 values a
+    # block holds 1 to 8 sets; at 100 it holds 2 to 60 sets, while a custom
+    # kernel's probe sub-block (66 queries per center) holds one set
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
     cfg = CertificationConfig(max_centers=6, grid_size=64, trials=60, seed=3)
 
@@ -336,13 +352,15 @@ def test_scan_blocks_change_nothing(spec, monkeypatch):
         return _scan_sets(K, cfg), text
 
     scan, text = run()
-    monkeypatch.setattr(admissibility, "PROBE_CHUNK", 8)
-    blocked, blocked_text = run()
-    assert blocked_text == text
-    assert blocked.centers.tolist() == scan.centers.tolist()
-    assert (blocked.worst, blocked.query, blocked.method) == (scan.worst, scan.query, scan.method)
-    assert blocked.rows == scan.rows and blocked.singular == scan.singular
-    assert (blocked.worst_cond, blocked.cholesky_ok) == (scan.worst_cond, scan.cholesky_ok)
+    for budget in (8, 100):
+        monkeypatch.setattr(admissibility, "PROBE_CHUNK", budget)
+        blocked, blocked_text = run()
+        assert blocked_text == text
+        assert blocked.centers.tolist() == scan.centers.tolist()
+        assert ((blocked.worst, blocked.query, blocked.method)
+                == (scan.worst, scan.query, scan.method))
+        assert np.array_equal(blocked.rows, scan.rows) and blocked.singular == scan.singular
+        assert (blocked.worst_cond, blocked.cholesky_ok) == (scan.worst_cond, scan.cholesky_ok)
 
 
 def test_certify_passes_for_stable_kernel():
@@ -496,7 +514,7 @@ def _dense_oracle(spec, centers, grid_size=20_000):
 def test_breakpoint_sup_dominates_dense_oracle(name, spec):
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
     cfg = CertificationConfig(max_centers=6, trials=20, seed=11)
-    method, set_sup, _ = _set_sup(K, cfg)
+    method, set_sup = _set_sup(K, cfg)
     assert method == "breakpoint-exact"
     sets = {}
     for m, X in _center_stacks(K, cfg):  # 6 stacks of 20 seeded sets
@@ -510,7 +528,7 @@ def test_breakpoint_sup_dominates_dense_oracle(name, spec):
     lo, hi = spec.domain
     ends = (np.nextafter(lo, hi), np.nextafter(hi, lo))
     for m, trial, val in lebesgue_scan(K, cfg).rows:
-        centers = sets[m][trial]
+        centers = sets[int(m)][int(trial)]
         assert val == max(1.0, *(lebesgue_at(K, centers, q) for q in ends))
 
 
@@ -537,7 +555,7 @@ def test_grid_scan_probes_domain_endpoints():
     # limit q -> 1, beyond the last grid point 0.998 of a 512-point grid
     spec = gk.custom(lambda x, y: np.minimum(x, y) + x * y, domain=(0.0, 1.0))
     K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
-    method, set_sup, _ = _set_sup(K, CertificationConfig(grid_size=512))
+    method, set_sup = _set_sup(K, CertificationConfig(grid_size=512))
     assert method == "grid-golden"
     centers = np.array([0.5, 0.9995])
     (worst,), (query,) = set_sup(centers[None], gram_assemble(K, centers).G[None])
