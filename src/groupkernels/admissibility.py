@@ -3,13 +3,13 @@
 a1 (invertible Grams) and a2 (uniform boundedness) are probed by seeded
 sampling; a4 (the interpolation stability constant bounded by 1) is
 scanned over seeded random center sets, batched per set size: one stacked
-Gram, Cholesky, SVD and solve per block of the sets of a size, every Gram
-held to the singularity rule.  The sets are drawn by rank shift from a
-counter hash of (seed, size, index), with no rejection and no size
-ceiling (see _center_stacks).  For the builtin families the supremum over
-queries of each set is exact (see _breakpoint_sup); custom kernels get a
-nested query grid with golden-section refinement, in lockstep over the
-sets.  a3 (independence of infinite expansions) cannot be falsified by
+Gram, eigvalsh and solve per block of the sets of a size, every Gram held
+to the singularity rule by blocklinalg.gram_stack.  The sets are drawn by
+rank shift from a counter hash of (seed, size, index), with no rejection
+and no size ceiling (see _center_stacks).  For the builtin families the
+supremum over queries of each set is exact (see _breakpoint_sup); custom
+kernels get a nested query grid with golden-section refinement, in
+lockstep over the sets.  a3 (independence of infinite expansions) cannot be falsified by
 finite computation; for product kernels with a strictly positive definite
 scalar factor it is reported as implied by that structure.
 
@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from .blocklinalg import coupling_opnorm, gram_assemble, nonsingular
+from .blocklinalg import coupling_opnorm, gram_assemble, gram_stack
 from .errors import DomainError, DuplicateCenterError, OrderError, ShapeError, SingularError
 from .gridsearch import probe_argmax, refine_max_rows, vdc_points
 from .kernels import (
@@ -82,16 +82,16 @@ class ScanResult:
     rows: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     singular: list = field(default_factory=list)  # centers failing the singularity rule
     worst_cond: float = 0.0  # of the other Grams
-    cholesky_ok: bool = True  # whether Cholesky accepted all the other Grams
+    cholesky_ok: bool = True  # whether all the other Grams are SPD (eigenvalues > 0)
 
     def a4_passes(self, tolerance: float) -> bool:
-        """The a4 rule: a set was scanned and none exceeds 1 + tolerance."""
-        return len(self.rows) > 0 and self.worst <= 1.0 + tolerance
+        """The a4 rule: a set was scanned, and none exceeds 1 + tolerance or is NaN."""
+        return len(self.rows) > 0 and bool((self.rows[:, 2] <= 1.0 + tolerance).all())
 
     def a4_dict(self) -> dict:
-        """The a4 section of a report; worst is None when no set was scanned."""
+        """The a4 section of a report; worst is None when no scanned set has a non-NaN value."""
         return {
-            "worst": self.worst if len(self.rows) else None,
+            "worst": None if self.centers is None else self.worst,
             "centers": None if self.centers is None else [float(v) for v in self.centers],
             "query": self.query,
             "method": self.method,
@@ -202,16 +202,6 @@ def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
         yield m, X
 
 
-def _gram_stack(kernel: OperatorKernel, X: np.ndarray):
-    """(G, s, ok) for the stacked center sets X: their Grams, the singular values
-    of each (as np.linalg.cond takes them) and which pass the singularity rule."""
-    G = scalar_values(kernel.scalar, X[:, :, None], X[:, None, :])
-    scale = np.abs(G).max(axis=(1, 2))
-    # a non-finite Gram fails the rule anyway; LAPACK would refuse its SVD
-    s = np.linalg.svd(np.where(np.isfinite(scale)[:, None, None], G, 0.0), compute_uv=False)
-    return G, s, nonsingular(s.min(axis=1), scale)
-
-
 def _stability_values(kernel: OperatorKernel, X: np.ndarray, G: np.ndarray,
                       Q: np.ndarray) -> np.ndarray:
     """sum_i |b_i| with G[x] b = G_x(query) for each center set (a row of X,
@@ -319,16 +309,14 @@ def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
         step = max(1, PROBE_CHUNK // (m * m))
         for r in range(0, len(X), step):
             x = X[r:r + step]
-            G, s, ok = _gram_stack(kernel, x)
+            G, lam, ok = gram_stack(kernel, x)
             scan.singular.extend(x[~ok].tolist())
             if not ok.any():
                 continue
-            x, G = x[ok], G[ok]
-            scan.worst_cond = max(scan.worst_cond, float((s[ok, 0] / s[ok, -1]).max()))
-            try:  # one stacked call, which raises unless every Gram is numerically SPD
-                np.linalg.cholesky(G)
-            except np.linalg.LinAlgError:
-                scan.cholesky_ok = False
+            x, G, lam = x[ok], G[ok], lam[ok]
+            mag = np.abs(lam)
+            scan.worst_cond = max(scan.worst_cond, float((mag.max(1) / mag.min(1)).max()))
+            scan.cholesky_ok = scan.cholesky_ok and bool((lam[:, 0] > 0).all())
             vals, queries = set_sup(x, G)
             rows[n:n + len(vals)] = np.column_stack([np.full(len(vals), m),
                                                      r + np.flatnonzero(ok), vals])
@@ -392,7 +380,8 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     }
     builtin = kernel.scalar.family in BUILTIN_FAMILIES
     sampled = scan.method == "grid-golden"
-    a2_ok = bound is None or gmax <= bound * (1.0 + 1e-12) + cfg.tolerance
+    a2_ok = math.isfinite(gmax) and (bound is None
+                                     or gmax <= bound * (1.0 + 1e-12) + cfg.tolerance)
     a4_ok = scan.a4_passes(cfg.tolerance)
     verdict = {
         "a1": "pass" if not scan.singular else "fail",

@@ -40,8 +40,8 @@ def nonsingular(s_min, scale):
 
 
 def _require_nonsingular(A: np.ndarray, scale: float, what: str) -> None:
-    """SingularError unless A passes the singularity rule; no SVD is taken
-    when scale is not finite."""
+    """SingularError unless A, not necessarily symmetric, passes the
+    singularity rule by its SVD; none is taken when scale is not finite."""
     if not (0.0 < scale < math.inf
             and nonsingular(np.linalg.svd(A, compute_uv=False).min(), scale)):
         raise SingularError(f"{what} is numerically singular")
@@ -141,8 +141,8 @@ def coupling_opnorm(A: np.ndarray, p: float) -> float:
 class GramSystem:
     """Scalar Gram G[i, j] = G(x_i, x_j) of the operator Gram K[x] = G (x) A.
 
-    G passed _require_nonsingular; kind is "cholesky" when it is also
-    numerically SPD, else "lu".  Every solve is an LU solve (LAPACK gesv)."""
+    G passed gram_stack's singularity rule; kind is "cholesky" when it is
+    also SPD (smallest eigenvalue > 0), else "lu".  Every solve is an LU solve (LAPACK gesv)."""
 
     G: np.ndarray
     coupling: TaskCoupling
@@ -158,19 +158,28 @@ def solve_factored(system: GramSystem, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(system.G, rhs)
 
 
+def gram_stack(kernel: OperatorKernel, X: np.ndarray):
+    """The one Gram test: (G, lam, ok) for center sets stacked along the
+    leading axes of X, with the Gram of each, its ascending eigenvalues and
+    whether it passes the singularity rule.  A symmetric matrix's singular
+    values are its absolute eigenvalues, so one eigvalsh (which reads the
+    lower triangle, as Cholesky does) gives s_min = min|lam|, the condition
+    number max|lam| / min|lam| and SPD-ness, lam[..., 0] > 0."""
+    G = scalar_values(kernel.scalar, X[..., :, None], X[..., None, :])
+    scale = np.abs(G).max(axis=(-2, -1))
+    # a non-finite Gram fails the rule anyway; LAPACK would refuse it
+    lam = np.linalg.eigvalsh(np.where(np.isfinite(scale)[..., None, None], G, 0.0))
+    return G, lam, nonsingular(np.abs(lam).min(axis=-1), scale)
+
+
 def gram_assemble(kernel: OperatorKernel, centers) -> GramSystem:
     """Assemble the scalar Gram for pairwise-distinct centers, held to the
-    singularity rule; "cholesky" when numerically SPD, else "lu"."""
-    arr = validate_centers(kernel.scalar, centers)
-    G = scalar_values(kernel.scalar, arr[:, None], arr[None, :])
+    singularity rule by gram_stack; "cholesky" when SPD, else "lu"."""
+    G, lam, ok = gram_stack(kernel, validate_centers(kernel.scalar, centers))
+    if not ok:
+        raise SingularError("Gram matrix is numerically singular")
     G.setflags(write=False)
-    _require_nonsingular(G, float(np.abs(G).max()), "Gram matrix")
-    try:
-        np.linalg.cholesky(G)
-        kind = "cholesky"
-    except np.linalg.LinAlgError:
-        kind = "lu"
-    return GramSystem(G=G, coupling=kernel.coupling, kind=kind)
+    return GramSystem(G=G, coupling=kernel.coupling, kind="cholesky" if lam[0] > 0 else "lu")
 
 
 def _check_blocks(system: GramSystem, y: BlockVector) -> None:

@@ -41,7 +41,7 @@ def refine_max_rows(f, probes: np.ndarray, j: np.ndarray, k: np.ndarray, top: np
     row, from its best probe as probe_argmax gives it (j, k, top): each row
     is bracketed by the neighbours of its sorted argmax k; f maps one query
     per row to its value.  Returns (x, v) per row: the best point seen, or
-    probes[j] at top if that is at least as high."""
+    probes[j] at top if that is at least as high or is NaN."""
     sorted_p = np.sort(probes)
     a = np.where(k > 0, sorted_p[k - 1], lo)
     b = np.where(k + 1 < probes.size, sorted_p[np.minimum(k + 1, probes.size - 1)], hi)
@@ -61,7 +61,7 @@ def refine_max_rows(f, probes: np.ndarray, j: np.ndarray, k: np.ndarray, top: np
         x, v = np.where(up, c, d), np.where(up, fc, fd)
         better = v > best_v
         best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
-    keep = top >= best_v
+    keep = (top >= best_v) | np.isnan(top)
     return np.where(keep, probes[j], best_x), np.where(keep, top, best_v)
 
 

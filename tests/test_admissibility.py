@@ -16,7 +16,6 @@ from groupkernels.admissibility import (
     CertificationConfig,
     _a2_sample,
     _center_stacks,
-    _gram_stack,
     _scan_sets,
     _set_sup,
     _uniform,
@@ -28,7 +27,7 @@ from groupkernels.admissibility import (
     scan_report_dict,
     scan_rows_csv,
 )
-from groupkernels.blocklinalg import gram_assemble
+from groupkernels.blocklinalg import gram_assemble, gram_stack
 from groupkernels.errors import DomainError, OrderError, ShapeError, SingularError
 
 from helpers import column_norm_sampled, hash_uniform, random_coupling, splitmix64, trial_centers
@@ -297,7 +296,7 @@ def test_grid_scan_memory_is_bounded():
     assert peak < 1.5 * 2**20
     text = json.dumps(report.to_dict(), indent=2) + scan_rows_csv(report.rows)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2dafe3c4b0dae8695a0f8fff70618060052b908e7b03355ee4bea58553df4a8a")
+        "79d7ed7031ddf78cd775a565200536840356e8230b7a7049a5e6fd4c9afb0c07")
 
 
 def _traced_peak(func):
@@ -435,6 +434,36 @@ def test_certify_no_evidence_when_everything_singular():
     assert report.verdict["a4"] == "fail"
 
 
+NON_FINITE_KERNELS = [
+    # (name, kernel, scanned sets whose value is NaN, of 60 sets)
+    # NaN beyond distance 0.9: 18 sets record NaN, and a4 passed
+    ("nan far", lambda x, y: np.where(np.abs(x - y) > 0.9, np.nan, np.exp(-np.abs(x - y))), 18),
+    # NaN at every probe: a4.worst read -inf, invalid JSON, and a4 passed
+    ("nan off the diagonal", lambda x, y: np.where(x == y, 1.0, np.nan), 20),
+    # NaN only at the first grid probe 0.5: the golden-section step replaced
+    # every set's NaN top probe by a finite value, and certify passed
+    ("nan at q = 0.5", lambda x, y: np.where((x == 0.5) | (y == 0.5), np.nan,
+                                             np.exp(-np.abs(x - y))), 60),
+    # an infinite diagonal: every Gram is singular, kappa read inf and a2 passed
+    ("inverse distance", lambda x, y: 1.0 / np.abs(x - y), 0),
+]
+
+
+@pytest.mark.parametrize("func,nan_sets", [k[1:] for k in NON_FINITE_KERNELS],
+                         ids=[k[0] for k in NON_FINITE_KERNELS])
+def test_non_finite_evidence_never_passes(func, nan_sets):
+    K = gk.OperatorKernel(gk.custom(func, domain=(0.0, 1.0)), gk.TaskCoupling.identity(2), p=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        report = certify(K, CertificationConfig(max_centers=3, grid_size=64, trials=20))
+    assert not math.isfinite(report.a2["max_abs_scalar"])
+    verdict = report.verdict
+    assert (verdict["a2"], verdict["a4"], verdict["overall"]) == ("fail", "fail", "fail")
+    assert int(np.isnan(report.rows[:, 2]).sum()) == nan_sets
+    worst = report.a4["worst"]
+    assert worst is None or math.isfinite(worst)
+    assert (worst is None) == (report.a4["centers"] is None)
+
+
 def test_certify_with_p_infinity():
     A = np.array([[2.0, 0.4], [0.4, 1.0]])
     K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.from_matrix(A),
@@ -519,7 +548,7 @@ def test_breakpoint_sup_dominates_dense_oracle(name, spec):
     sets = {}
     for m, X in _center_stacks(K, cfg):  # 6 stacks of 20 seeded sets
         sets[m] = X
-        for centers, worst, query in zip(X, *set_sup(X, _gram_stack(K, X)[0]), strict=True):
+        for centers, worst, query in zip(X, *set_sup(X, gram_stack(K, X)[0]), strict=True):
             assert _dense_oracle(spec, centers) <= worst + 1e-10
             # the reported value is the one computed at the witness
             assert lebesgue_at(K, centers, query) == worst
@@ -590,7 +619,7 @@ def test_gram_assemble_follows_the_scan_singularity_rule():
     K = gk.OperatorKernel(wide, gk.TaskCoupling.identity(1), p=2)
     singular = []
     for m, X in _center_stacks(K, CertificationConfig(seed=0)):
-        for centers, good in zip(X, _gram_stack(K, X)[2]):
+        for centers, good in zip(X, gram_stack(K, X)[2]):
             if good:
                 assert gram_assemble(K, centers).m == m
             else:
@@ -602,3 +631,48 @@ def test_gram_assemble_follows_the_scan_singularity_rule():
     for q in (0.01, 0.5, 0.99):
         with pytest.raises(SingularError):
             lebesgue_at(K, first, q)
+
+
+def _cholesky_accepts(G):
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+GRAM_TEST_VARIANTS = BUILTIN_VARIANTS + [
+    # nonsingular Grams that are not SPD beyond one center
+    ("indefinite", gk.custom(lambda x, y: 1.0 + np.abs(x - y), domain=(0.0, 1.0))),
+    # symmetric only up to rounding: G - G.T reaches 2.2e-16
+    ("near-symmetric gaussian",
+     gk.custom(lambda x, y: np.exp(-4.0 * (x * x - 2.0 * x * y + y * y)), domain=(0.0, 1.0))),
+]
+
+
+@pytest.mark.parametrize("name,spec", GRAM_TEST_VARIANTS, ids=[v[0] for v in GRAM_TEST_VARIANTS])
+def test_one_gram_test_agrees_with_cholesky_and_cond(name, spec):
+    # gram_stack decides SPD-ness and the condition number from one eigvalsh:
+    # kind and a1.cholesky_ok agree with Cholesky acceptance, and
+    # a1.worst_cond with the largest np.linalg.cond (an SVD) over the scanned
+    # Grams, to the eigenvalue perturbation bound eps * cond relative
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1), p=2)
+    cfg = CertificationConfig(max_centers=6, grid_size=64, trials=20, seed=5)
+    accepted, conds, asymmetry = [], [], 0.0
+    for _, X in _center_stacks(K, cfg):
+        for centers in X:
+            try:
+                S = gram_assemble(K, centers)
+            except SingularError:
+                continue
+            accepted.append(_cholesky_accepts(S.G))
+            assert S.kind == ("cholesky" if accepted[-1] else "lu")
+            conds.append(np.linalg.cond(S.G))
+            asymmetry = max(asymmetry, float(np.abs(S.G - S.G.T).max()))
+    assert (asymmetry > 0.0) == (name == "near-symmetric gaussian")
+    report = certify(K, cfg)  # cond(A) = 1: a1.worst_cond is the scan's own
+    assert len(conds) == len(report.rows)
+    assert report.a1["cholesky_ok"] == all(accepted)
+    assert all(accepted) == (name != "indefinite")
+    got, worst, eps = report.a1["worst_cond"], max(conds), np.finfo(float).eps
+    assert abs(got - worst) <= 64 * eps * got * worst

@@ -48,23 +48,23 @@ CUSTOM_CFG = CertificationConfig(max_centers=4, grid_size=128, trials=30, seed=0
 EXPECTED = {
     "tfamily t=1 report": "d80be6fd4ce9e552fe6bc9afe9466bfc895cae9a8909f04df1391d587674c976",
     "tfamily t=1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "tfamily t=-1 report": "8590a0fdc7011be07263a6069390496c653493e5f3711ddccaa71ff40c31ffed",
+    "tfamily t=-1 report": "2008af41764fee61813df577a393f6a9b34d073396f36ba21039b9d669aa7f2f",
     "tfamily t=-1 rows": "e0c089f8774012f81029101ee1ca644c0b48b5ac5d1c8a755898f849ec4e396a",
-    "wendland report": "6da5be7125703cd3bd2f5ffb30f6501585de77159fddb37001ea2676d20158fe",
+    "wendland report": "6f7a8ca035d6ac09382f01ec4015c48ed058de89b13ec02ad60d8aa9892a7e05",
     "wendland rows": "379182739e93265b843c2e012d2c387b735f6ee8f1dbcc75d5ff83744a08f529",
     "exponential [-2,2] report": "0e478fb599ca76ff0755ef92b75a6e769c416b63256a7ed5d76739b4acbc8658",
     "exponential [-2,2] rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
     "combination 1,1 report": "d969c07551ed730ac00923e7ccf1a4dd214cb2af281695d2f3fb5a08e325a210",
     "combination 1,1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "wendland seed 2**32+5 report": "05d0e4fdf45d108af850b4a62da6545095b64241891d8dbbc21ea976493971ba",
+    "wendland seed 2**32+5 report": "4c49613a0c4a1539e3de52056b97c8a579ee1a8f3683b7ac26f23a2d0dab2cd5",
     "wendland seed 2**32+5 rows": "a15606834be4679c6250f3e4a651c4cd16653dcd77cf378aa9857ef770a6798c",
-    "tfamily t=0.5 12x1000 report": "937bb6e31eccadcf87bf2e910e8ffc60810ebf27a6fb1a7bda7073432b482248",
+    "tfamily t=0.5 12x1000 report": "cea2d46ac6c6060166681baed0873af312f5d0c3e4566a4646d6005ccde339e0",
     "tfamily t=0.5 12x1000 rows": "80fe8870d2858ae46f0f6932d64695c95fc9cc81ac27f1f7cfdb545a256711c5",
-    "gaussian report": "97ce9792ab9b409f580d449679fd2c3613020f299fbfd6abfeb396adacc3f5a6",
+    "gaussian report": "2f48ba2453be6590faa53a8bb75726a44a72506c2bf54b8f67380b4c8883bcc1",
     "gaussian rows": "bc671b9d2bff8a771aa7518a082a34f039c6dcbc6bc9b7737879e8d5427e821d",
-    "tfamily(-1) as custom report": "e2b74f29373dd2bfd3ef5be08f9053e48388087f13319b02c04fcd52b0ae894f",
+    "tfamily(-1) as custom report": "e31a0188d5d374dd1475235f9a792d3c21eb07dc5238c577079c142edf57543d",
     "tfamily(-1) as custom rows": "cd4b411478d3b578e96e38226de5a8cf4b11f8d7843b40e7449a6493eeca4104",
-    "indefinite report": "6d3bc58776dc9ca329807b172028fcea374870920fee24aef17a81604c205405",
+    "indefinite report": "ea04695691716c70fe3020fcf46d9fdf0d853842724413bcd45b705faab97253",
     "indefinite rows": "1323a59ec574fb4701cb611bc8c82cc4d3d364c915278c58215b722f2eafa41f",
 }
 
