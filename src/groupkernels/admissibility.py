@@ -28,7 +28,7 @@ import numpy as np
 
 from .blocklinalg import coupling_opnorm, gram_assemble, gram_stack
 from .errors import DomainError, DuplicateCenterError, OrderError, ShapeError, SingularError
-from .gridsearch import probe_argmax, refine_max_rows, vdc_points
+from .gridsearch import refine_max_rows, vdc_points
 from .kernels import (
     BUILTIN_FAMILIES,
     OperatorKernel,
@@ -267,18 +267,19 @@ def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: 
 
 def _grid_sup(kernel: OperatorKernel, probes: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Sampled per-set supremum for custom kernels, (worst, query) per set:
-    the probes (nested grid plus the inward domain endpoints) with golden
-    refinement around the best of them, in lockstep over the sets.  The
-    probe solves run in sub-blocks of sets holding at most PROBE_CHUNK
-    values, of which each set keeps its best probe alone."""
+    the sorted probes (nested grid plus the inward domain endpoints) with
+    golden refinement around the best of them, in lockstep over the sets.
+    The probe solves run in sub-blocks of sets holding at most PROBE_CHUNK
+    values, of which each set keeps its best probe alone: the first
+    argmax, so tied values resolve to the lowest query (a NaN value is
+    the maximum, as np.max and np.argmax agree)."""
     lo, hi = kernel.scalar.domain
-    order = np.argsort(probes)
     step = max(1, PROBE_CHUNK // (X.shape[1] * probes.size))
-    best = [probe_argmax(_stability_values(kernel, X[r:r + step], G[r:r + step], probes[None, :]),
-                         order) for r in range(0, len(X), step)]
+    blocks = (_stability_values(kernel, X[r:r + step], G[r:r + step], probes[None, :])
+              for r in range(0, len(X), step))
+    k, top = map(np.concatenate, zip(*[(v.argmax(axis=1), v.max(axis=1)) for v in blocks]))
     query, worst = refine_max_rows(lambda q: _stability_values(kernel, X, G, q[:, None])[:, 0],
-                                   probes, *map(np.concatenate, zip(*best)), lo, hi,
-                                   iters=REFINE_ITERS)
+                                   probes, k, top, lo, hi, iters=REFINE_ITERS)
     return worst, query
 
 
@@ -290,7 +291,7 @@ def _set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
     ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
     if kernel.scalar.family in BUILTIN_FAMILIES:
         return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends)
-    probes = np.concatenate([vdc_points(lo, hi, cfg.grid_size), ends])
+    probes = np.sort(np.concatenate([vdc_points(lo, hi, cfg.grid_size), ends]))
     return "grid-golden", partial(_grid_sup, kernel, probes)
 
 
@@ -309,14 +310,13 @@ def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
         step = max(1, PROBE_CHUNK // (m * m))
         for r in range(0, len(X), step):
             x = X[r:r + step]
-            G, lam, ok = gram_stack(kernel, x)
+            G, ok, spd, cond = gram_stack(kernel, x)
             scan.singular.extend(x[~ok].tolist())
             if not ok.any():
                 continue
-            x, G, lam = x[ok], G[ok], lam[ok]
-            mag = np.abs(lam)
-            scan.worst_cond = max(scan.worst_cond, float((mag.max(1) / mag.min(1)).max()))
-            scan.cholesky_ok = scan.cholesky_ok and bool((lam[:, 0] > 0).all())
+            x, G = x[ok], G[ok]
+            scan.worst_cond = max(scan.worst_cond, float(cond[ok].max()))
+            scan.cholesky_ok = scan.cholesky_ok and bool(spd[ok].all())
             vals, queries = set_sup(x, G)
             rows[n:n + len(vals)] = np.column_stack([np.full(len(vals), m),
                                                      r + np.flatnonzero(ok), vals])
@@ -378,6 +378,8 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
         "kappa_analytic": kappa_analytic,
         "max_abs_scalar": gmax,
     }
+    # strict JSON: a non-finite number is written as null (a2 fails below)
+    a2 = {key: v if v is None or math.isfinite(v) else None for key, v in a2.items()}
     builtin = kernel.scalar.family in BUILTIN_FAMILIES
     sampled = scan.method == "grid-golden"
     a2_ok = math.isfinite(gmax) and (bound is None

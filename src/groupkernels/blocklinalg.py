@@ -141,12 +141,14 @@ def coupling_opnorm(A: np.ndarray, p: float) -> float:
 class GramSystem:
     """Scalar Gram G[i, j] = G(x_i, x_j) of the operator Gram K[x] = G (x) A.
 
-    G passed gram_stack's singularity rule; kind is "cholesky" when it is
-    also SPD (smallest eigenvalue > 0), else "lu".  Every solve is an LU solve (LAPACK gesv)."""
+    G passed gram_stack's singularity rule, which also gives its 2-norm
+    condition number cond and kind: "cholesky" when G is SPD, else "lu".
+    Every solve is an LU solve (LAPACK gesv)."""
 
     G: np.ndarray
     coupling: TaskCoupling
     kind: str
+    cond: float
 
     @property
     def m(self) -> int:
@@ -159,27 +161,33 @@ def solve_factored(system: GramSystem, rhs: np.ndarray) -> np.ndarray:
 
 
 def gram_stack(kernel: OperatorKernel, X: np.ndarray):
-    """The one Gram test: (G, lam, ok) for center sets stacked along the
-    leading axes of X, with the Gram of each, its ascending eigenvalues and
-    whether it passes the singularity rule.  A symmetric matrix's singular
-    values are its absolute eigenvalues, so one eigvalsh (which reads the
-    lower triangle, as Cholesky does) gives s_min = min|lam|, the condition
-    number max|lam| / min|lam| and SPD-ness, lam[..., 0] > 0."""
+    """The one Gram test: (G, ok, spd, cond) for center sets stacked along
+    the leading axes of X: the Gram of each, whether it passes the
+    singularity rule, whether it is SPD, and its 2-norm condition number,
+    taken only where the rule passes (so s_min > 0) and inf elsewhere.
+    A symmetric matrix's singular values are its absolute eigenvalues, so
+    one eigvalsh (which reads the lower triangle, as Cholesky does) gives
+    s_min = min|lam|, cond = max|lam| / s_min and SPD-ness, lam[..., 0] > 0."""
     G = scalar_values(kernel.scalar, X[..., :, None], X[..., None, :])
     scale = np.abs(G).max(axis=(-2, -1))
     # a non-finite Gram fails the rule anyway; LAPACK would refuse it
     lam = np.linalg.eigvalsh(np.where(np.isfinite(scale)[..., None, None], G, 0.0))
-    return G, lam, nonsingular(np.abs(lam).min(axis=-1), scale)
+    mag = np.abs(lam)
+    s_min = mag.min(axis=-1)
+    ok = nonsingular(s_min, scale)
+    cond = np.divide(mag.max(axis=-1), s_min, out=np.full_like(s_min, math.inf), where=ok)
+    return G, ok, lam[..., 0] > 0, cond
 
 
 def gram_assemble(kernel: OperatorKernel, centers) -> GramSystem:
     """Assemble the scalar Gram for pairwise-distinct centers, held to the
-    singularity rule by gram_stack; "cholesky" when SPD, else "lu"."""
-    G, lam, ok = gram_stack(kernel, validate_centers(kernel.scalar, centers))
+    singularity rule by gram_stack, with its kind and condition number."""
+    G, ok, spd, cond = gram_stack(kernel, validate_centers(kernel.scalar, centers))
     if not ok:
         raise SingularError("Gram matrix is numerically singular")
     G.setflags(write=False)
-    return GramSystem(G=G, coupling=kernel.coupling, kind="cholesky" if lam[0] > 0 else "lu")
+    return GramSystem(G=G, coupling=kernel.coupling, kind="cholesky" if spd else "lu",
+                      cond=float(cond))
 
 
 def _check_blocks(system: GramSystem, y: BlockVector) -> None:

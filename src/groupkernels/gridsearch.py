@@ -27,24 +27,15 @@ def vdc_points(lo: float, hi: float, size: int) -> np.ndarray:
     return lo + (hi - lo) * frac
 
 
-def probe_argmax(values: np.ndarray, order: np.ndarray):
-    """(j, k, top) per row of values (one function's values at the probes):
-    the first argmax in probe order, the first argmax in the sorted probe
-    order `order` (np.argsort of the probes) and the top value."""
-    j = values.argmax(axis=1)
-    return j, values[:, order].argmax(axis=1), values[np.arange(j.size), j]
-
-
-def refine_max_rows(f, probes: np.ndarray, j: np.ndarray, k: np.ndarray, top: np.ndarray,
+def refine_max_rows(f, probes: np.ndarray, k: np.ndarray, top: np.ndarray,
                     lo: float, hi: float, iters: int = 30):
     """Golden-section maximization in lockstep over rows, one function per
-    row, from its best probe as probe_argmax gives it (j, k, top): each row
-    is bracketed by the neighbours of its sorted argmax k; f maps one query
-    per row to its value.  Returns (x, v) per row: the best point seen, or
-    probes[j] at top if that is at least as high or is NaN."""
-    sorted_p = np.sort(probes)
-    a = np.where(k > 0, sorted_p[k - 1], lo)
-    b = np.where(k + 1 < probes.size, sorted_p[np.minimum(k + 1, probes.size - 1)], hi)
+    row, from its best probe k with value top, over sorted probes: each
+    row is bracketed by the neighbours of probes[k]; f maps one query per
+    row to its value.  Returns (x, v) per row: the best point seen, or
+    probes[k] at top if that is at least as high or is NaN."""
+    a = np.where(k > 0, probes[k - 1], lo)
+    b = np.where(k + 1 < probes.size, probes[np.minimum(k + 1, probes.size - 1)], hi)
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     up = fc >= fd
@@ -62,14 +53,17 @@ def refine_max_rows(f, probes: np.ndarray, j: np.ndarray, k: np.ndarray, top: np
         better = v > best_v
         best_x, best_v = np.where(better, x, best_x), np.where(better, v, best_v)
     keep = (top >= best_v) | np.isnan(top)
-    return np.where(keep, probes[j], best_x), np.where(keep, top, best_v)
+    return np.where(keep, probes[k], best_x), np.where(keep, top, best_v)
 
 
 def refine_max(f, probes: np.ndarray, values: np.ndarray, lo: float, hi: float,
                iters: int = 30):
-    """refine_max_rows for one function, from its values at the probes: f
-    maps a query to its value, and the result (x, v) is a pair of floats."""
-    x, v = refine_max_rows(lambda q: np.array([f(q[0])]), probes,
-                           *probe_argmax(values[None, :], np.argsort(probes)), lo, hi,
+    """refine_max_rows for one function, from its values at the probes, in
+    any order: f maps a query to its value, and the result (x, v) is a
+    pair of floats."""
+    order = np.argsort(probes)
+    probes, values = probes[order], values[order]
+    k = values.argmax(keepdims=True)
+    x, v = refine_max_rows(lambda q: np.array([f(q[0])]), probes, k, values[k], lo, hi,
                            iters=iters)
     return float(x[0]), float(v[0])

@@ -118,10 +118,11 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
     use the closed-form tridiagonal precision in O(m n); the others
     solve with the dense Gram.  Either way the fit is checked: a relative
     residual max|G C A - Y| / max(1, max|Y|) above INTERP_RESIDUAL_RTOL,
-    or a 1-norm condition number of G above INTERP_COND_MAX, raises
-    SingularError.  When the kernel passes the stability certification
-    this expansion is the minimal grouped-norm interpolant among all
-    expansions anywhere.
+    or a condition number of G (meta.cond) above INTERP_COND_MAX, raises
+    SingularError: gram_assemble's exact 2-norm one, or markov_cond's exact
+    1-norm one, which is never smaller for a symmetric G.  When the kernel
+    passes the stability certification this expansion is the minimal
+    grouped-norm interpolant among all expansions anywhere.
     """
     spec, coupling = kernel.scalar, kernel.coupling
     x = validate_centers(spec, x)
@@ -130,9 +131,9 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
     gaps = markov_gaps(spec, x)
     if gaps is None:
         system = gram_assemble(kernel, x)
-        coeffs = gram_solve(system, BlockVector(y.blocks, kernel.p)).blocks
-        fitted = gram_apply(system, BlockVector(coeffs, kernel.p)).blocks
-        cond, solver = float(np.linalg.cond(system.G, 1)), "exact-gram"
+        c = gram_solve(system, y)
+        coeffs, fitted = c.blocks, gram_apply(system, c).blocks
+        cond, solver = system.cond, "exact-gram"
     else:
         coeffs = markov_solve(gaps, y.blocks) @ coupling.A_inv
         fitted = markov_eval(spec, gaps, coeffs @ coupling.A, x)
@@ -199,15 +200,6 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     return blocks * np.maximum(1.0 - ratio, 0.0)[:, None]
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v), bit for bit, of a contiguous array: the square
-    root of the BLAS dot of its flattened entries.  _admm takes four
-    norms per iteration, and on small blocks the argument handling of
-    np.linalg.norm costs as much as the dot."""
-    v = v.ravel()
-    return math.sqrt(v.dot(v))
-
-
 def _admm(project, proxes, shape, max_iters, tol, what):
     """Scaled ADMM for a sum of separable terms over an affine set, split
     as x = z with x confined to the set and block z_i carrying term i:
@@ -229,8 +221,8 @@ def _admm(project, proxes, shape, max_iters, tol, what):
     for it in range(1, max_iters + 1):
         x = project(*[zi - ui for zi, ui in zip(z, u)])
         z_new = [prox(xi + ui, rho) for prox, xi, ui in zip(proxes, x, u)]
-        r = math.hypot(*[_norm(xi - zi) for xi, zi in zip(x, z_new)])
-        s = rho * math.hypot(*[_norm(zn - zi) for zn, zi in zip(z_new, z)])
+        r = math.hypot(*[np.linalg.norm(xi - zi) for xi, zi in zip(x, z_new)])
+        s = rho * math.hypot(*[np.linalg.norm(zn - zi) for zn, zi in zip(z_new, z)])
         for ui, xi, zi in zip(u, x, z_new):
             ui += xi
             ui -= zi
@@ -704,14 +696,13 @@ def expansion_sup_norm(model: FitModel, grid_size: int) -> float:
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model: FitModel) -> dict:
-    meta = {k: v for k, v in model.meta.items() if not k.startswith("_")}
     return {
         "kernel": kernel_to_dict(model.kernel),
         "centers": [float(v) for v in model.centers],
         "coeffs": model.coeffs.blocks.tolist(),
         "p": "inf" if math.isinf(model.coeffs.p) else model.coeffs.p,
         "norm_lp1": model.norm_lp1,
-        "meta": meta,
+        "meta": dict(model.meta),
     }
 
 
