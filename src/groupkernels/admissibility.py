@@ -1,20 +1,21 @@
 """Numeric certification of the kernel assumptions a1-a4 over a domain.
 
-a1 (invertible Grams) and a2 (uniform boundedness) are probed by seeded
-sampling; a4 (the interpolation stability constant bounded by 1) is
-scanned over seeded random center sets, batched per set size: one stacked
-Gram, eigvalsh and solve per block of the sets of a size, every Gram held
-to the singularity rule by blocklinalg.gram_stack.  The sets are drawn by
-rank shift from a counter hash of (seed, size, index), with no rejection
-and no size ceiling (see _center_stacks).  For the builtin families the
+a1 (invertible Grams) is probed by seeded sampling; a2 (uniform
+boundedness) is proved by kernels.scalar_uniform_bound for the builtin
+families and sampled over point pairs for custom kernels; a4 (the
+interpolation stability constant bounded by 1) is scanned over seeded
+random center sets, batched per set size: one stacked Gram, eigvalsh and
+solve per block of the sets of a size, every Gram held to the
+singularity rule by blocklinalg.gram_stack.  The sets are drawn by rank
+shift from a counter hash of (seed, size, index), with no rejection and
+no size ceiling (see _center_stacks).  For the builtin families the
 supremum over queries of each set is exact (see _breakpoint_sup); custom
 kernels get a nested query grid with golden-section refinement, in
-lockstep over the sets.  a3 (independence of infinite expansions) cannot be falsified by
-finite computation; for product kernels with a strictly positive definite
-scalar factor it is reported as implied by that structure.
-
-Certification is evidence, not proof: every report records the probe
-budget so a "pass" claim is scoped to it.
+lockstep over the sets.  a3 (independence of infinite expansions) cannot
+be falsified by finite computation; for product kernels with a strictly
+positive definite scalar factor it is reported as implied by that
+structure.  The a1 and a4 evidence is not proof: every report records
+the probe budget so a "pass" claim is scoped to it.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ PROBE_CHUNK = 1 << 14  # float64 values per probe temporary (128 KiB): rows per 
 class CertificationConfig:
     """Probe budget for a certification run.
 
-    grid_size is the query grid of the a2 sample and, for custom kernels
-    only, of the a4 scan.  tolerance is the slack allowed above the
-    stability bound 1: the bound is attained in the limit (query
-    approaching a center), so exact comparison against 1 would be
-    float-hostile.
+    grid_size sizes the probes of custom kernels only: the grid of the a2
+    sample and the query grid of the a4 scan.  tolerance is the slack
+    allowed above the stability bound 1: the bound is attained in the
+    limit (query approaching a center), so exact comparison against 1
+    would be float-hostile.
     """
 
     max_centers: int = 6
@@ -81,8 +82,10 @@ class ScanResult:
     # (m, trial, worst) per scanned set, one row each
     rows: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     singular: list = field(default_factory=list)  # centers failing the singularity rule
-    worst_cond: float = 0.0  # of the other Grams
-    cholesky_ok: bool = True  # whether all the other Grams are SPD (eigenvalues > 0)
+    # over the other Grams, None while there is none: the largest condition
+    # number, and whether all are SPD (eigenvalues > 0)
+    worst_cond: float | None = None
+    cholesky_ok: bool | None = None
 
     def a4_passes(self, tolerance: float) -> bool:
         """The a4 rule: a set was scanned, and none exceeds 1 + tolerance or is NaN."""
@@ -315,8 +318,8 @@ def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
             if not ok.any():
                 continue
             x, G = x[ok], G[ok]
-            scan.worst_cond = max(scan.worst_cond, float(cond[ok].max()))
-            scan.cholesky_ok = scan.cholesky_ok and bool(spd[ok].all())
+            scan.worst_cond = max(scan.worst_cond or 0.0, float(cond[ok].max()))
+            scan.cholesky_ok = scan.cholesky_ok is not False and bool(spd[ok].all())
             vals, queries = set_sup(x, G)
             rows[n:n + len(vals)] = np.column_stack([np.full(len(vals), m),
                                                      r + np.flatnonzero(ok), vals])
@@ -340,8 +343,9 @@ def lebesgue_scan(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResul
 
 
 def _a2_sample(kernel: OperatorKernel, cfg: CertificationConfig) -> float:
-    """Max |G| over sampled point pairs: nested grid points plus seeded
-    uniform draws, all pairs including the diagonal."""
+    """Max |G| over sampled point pairs, for kernels with no closed-form
+    bound: nested grid points plus seeded uniform draws, all pairs
+    including the diagonal."""
     lo, hi = _require_bounded(kernel)
     # the stream of key 0, which no center set uses (m >= 1)
     pts = np.concatenate([vdc_points(lo, hi, min(cfg.grid_size, 512)),
@@ -362,35 +366,27 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     """
     scan = _scan_sets(kernel, cfg)
     # max_i fl(cond_i * cond_A) is fl(max_i cond_i * cond_A): rounding is monotone
-    a1 = {"worst_cond": scan.worst_cond * float(np.linalg.cond(kernel.coupling.A)),
+    a1 = {"worst_cond": None if scan.worst_cond is None
+          else scan.worst_cond * float(np.linalg.cond(kernel.coupling.A)),
           "singular": scan.singular, "cholesky_ok": scan.cholesky_ok}
 
-    gmax = _a2_sample(kernel, cfg)
-    opnorm = coupling_opnorm(kernel.coupling.A, kernel.p)
-    kappa_sampled = gmax * opnorm
+    # a2 from one source: the closed form for the builtin families, else the sample
     bound = scalar_uniform_bound(kernel.scalar)
-    kappa_analytic = None if bound is None else bound * opnorm
-    kappa = kappa_sampled if kappa_analytic is None else max(kappa_sampled, kappa_analytic)
-
-    a2 = {
-        "kappa": kappa,
-        "kappa_sampled": kappa_sampled,
-        "kappa_analytic": kappa_analytic,
-        "max_abs_scalar": gmax,
-    }
-    # strict JSON: a non-finite number is written as null (a2 fails below)
-    a2 = {key: v if v is None or math.isfinite(v) else None for key, v in a2.items()}
-    builtin = kernel.scalar.family in BUILTIN_FAMILIES
+    gmax = _a2_sample(kernel, cfg) if bound is None else bound
+    kappa = gmax * coupling_opnorm(kernel.coupling.A, kernel.p)
+    a2_ok = math.isfinite(kappa)
+    # strict JSON: a non-finite number is written as null (a2 fails)
+    a2 = {"kappa": kappa if a2_ok else None,
+          "max_abs_scalar": gmax if math.isfinite(gmax) else None,
+          "method": "sampled" if bound is None else "proof"}
     sampled = scan.method == "grid-golden"
-    a2_ok = math.isfinite(gmax) and (bound is None
-                                     or gmax <= bound * (1.0 + 1e-12) + cfg.tolerance)
     a4_ok = scan.a4_passes(cfg.tolerance)
     verdict = {
         "a1": "pass" if not scan.singular else "fail",
         "a2": "pass" if a2_ok else "fail",
         # implied by the product structure with a strictly positive
         # definite scalar factor; not directly testable by finite sampling
-        "a3": "implied" if builtin else "not-directly-testable",
+        "a3": "not-directly-testable" if bound is None else "implied",
         "a4": "pass" if a4_ok else "fail",
         "overall": "pass" if (not scan.singular and a2_ok and a4_ok) else "fail",
         "evidence": {
@@ -400,15 +396,8 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
             "refine_iters": REFINE_ITERS if sampled else None,
         },
     }
-    return CertificationReport(
-        kernel=kernel_to_dict(kernel),
-        config=cfg,
-        a1=a1,
-        a2=a2,
-        a4=scan.a4_dict(),
-        verdict=verdict,
-        rows=scan.rows,
-    )
+    return CertificationReport(kernel_to_dict(kernel), cfg, a1, a2, scan.a4_dict(), verdict,
+                               scan.rows)
 
 
 def scan_report_dict(kernel: OperatorKernel, cfg: CertificationConfig,

@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         _add_kernel_flags(p)
         p.add_argument("--max-centers", type=int, default=6)
-        p.add_argument("--grid", type=int, default=512)
+        p.add_argument("--grid", type=int, default=512,
+                       help="probe grid of custom kernels only, which the CLI cannot build")
         p.add_argument("--trials", type=int, default=200)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tolerance", type=float, default=1e-8)

@@ -21,6 +21,7 @@ from .blocklinalg import (
     gram_apply,
     gram_assemble,
     gram_solve,
+    gram_stack,
     lp1_norm,
     markov_cond,
     markov_eval,
@@ -200,9 +201,10 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     return blocks * np.maximum(1.0 - ratio, 0.0)[:, None]
 
 
-def _admm(project, proxes, shape, max_iters, tol, what):
+def _admm(project, proxes, z, u, max_iters, tol, what):
     """Scaled ADMM for a sum of separable terms over an affine set, split
-    as x = z with x confined to the set and block z_i carrying term i:
+    as x = z with x confined to the set and block z_i carrying term i,
+    from the start lists z and u of arrays (u is updated in place):
 
         x = project(z - u),  z_i = prox_i(x_i + u_i, rho),  u += x - z.
 
@@ -215,8 +217,6 @@ def _admm(project, proxes, shape, max_iters, tol, what):
     Returns (x, u, iterations, primal residual, dual residual, rho); rho u_i
     is the dual estimate of block i's term.
     """
-    z = [np.zeros(shape) for _ in proxes]
-    u = [np.zeros(shape) for _ in proxes]
     rho, r, s = 1.0, math.inf, math.inf
     for it in range(1, max_iters + 1):
         x = project(*[zi - ui for zi, ui in zip(z, u)])
@@ -253,7 +253,10 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
 
     Solved by ADMM (_admm): projection onto the affine constraint set
     alternating with the grouped shrinkage.  Stops when both residuals
-    fall below 1e-9.
+    fall below 1e-9.  It starts at the site interpolant and the dual
+    u = g_c^T theta that is a subgradient of the norm there at the sites:
+    ADMM's fixed point (iteration 1) if ||u_j||_q <= 1 at every extra
+    center, as for an admissible kernel; at 0 if the site Gram is singular.
     """
     p = kernel.p
     if p not in (1.0, 2.0):
@@ -284,8 +287,16 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     def project(v):
         return (v - q_mat @ (q_mat.T @ v - w),)
 
+    z, u = np.zeros((2, big_m, n))
+    g_s, ok, _, _ = gram_stack(kernel, cons)
+    if ok:
+        c_s = np.linalg.solve(g_s, y_t)
+        d = np.abs(c_s) if p == 1.0 else block_norms(c_s, 2.0)[:, None]
+        v = np.divide(c_s, d, out=np.zeros_like(c_s), where=d > 0)
+        z[np.nonzero(cons[:, None] == cen)[1]] = c_s
+        u = g_c.T @ np.linalg.solve(g_s.T, v)
     (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
-                                   (big_m, n), max_iters, PURSUIT_TOL, "basis pursuit")
+                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit")
     meta = {
         "solver": "admm-basis-pursuit",
         "iterations": it,
@@ -627,8 +638,9 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> Fit
 
     proxes = [lambda v, rho: _shrink(v, cfg.lam / rho, kernel.p),
               lambda v, rho: _prox_loss(v, y_b, rho, cfg.loss)]
-    (c, _), (_, u_w), it, r, s, rho = _admm(project, proxes, y_b.shape, cfg.max_iters,
-                                            cfg.tol, "admm")
+    start = list(np.zeros((4, *y_b.shape)))
+    (c, _), (_, u_w), it, r, s, rho = _admm(project, proxes, start[:2], start[2:],
+                                            cfg.max_iters, cfg.tol, "admm")
     # the loss block's dual estimate rho u_w is a subgradient of the loss at
     # the fitted values, so -rho u_w estimates the dual point theta
     gap, obj, _, _ = _certificate(g, a, y_b, c, cfg.lam, kernel.p, cfg.tol, cfg.loss, -rho * u_w)

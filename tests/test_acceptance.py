@@ -15,6 +15,7 @@ lebesgue_at, and yield an a4 "fail" verdict.
 import functools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,7 +370,7 @@ def test_c10_cli_determinism(tmp_path):
     out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert run(argv + ["--out", out1]) == 0
     assert run(argv + ["--out", out2]) == 0
-    same_certify = open(out1, "rb").read() == open(out2, "rb").read()
+    same_certify = Path(out1).read_bytes() == Path(out2).read_bytes()
 
     argv2 = ["lebesgue-scan", "--kernel", "wendland", "--p", "1",
              "--coupling", "identity:1", "--max-centers", "3", "--grid", "64",
@@ -377,6 +378,6 @@ def test_c10_cli_determinism(tmp_path):
     s1, s2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
     assert run(argv2 + ["--out", s1]) == 0
     assert run(argv2 + ["--out", s2]) == 0
-    same_scan = open(s1, "rb").read() == open(s2, "rb").read()
+    same_scan = Path(s1).read_bytes() == Path(s2).read_bytes()
     _check("C10 cli determinism", same_certify and same_scan,
            "byte-identical reports across repeated runs")

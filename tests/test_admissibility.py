@@ -29,6 +29,7 @@ from groupkernels.admissibility import (
 )
 from groupkernels.blocklinalg import gram_assemble, gram_stack
 from groupkernels.errors import DomainError, OrderError, ShapeError, SingularError
+from groupkernels.kernels import scalar_uniform_bound
 
 from helpers import column_norm_sampled, hash_uniform, random_coupling, splitmix64, trial_centers
 
@@ -296,7 +297,7 @@ def test_grid_scan_memory_is_bounded():
     assert peak < 1.5 * 2**20
     text = json.dumps(report.to_dict(), indent=2) + scan_rows_csv(report.rows)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "79d7ed7031ddf78cd775a565200536840356e8230b7a7049a5e6fd4c9afb0c07")
+        "36923f7d871b6723d40baa77f7586e14b1b7821645feda52b2a8e0a98c2c10bb")
 
 
 def _traced_peak(func):
@@ -372,7 +373,7 @@ def test_certify_passes_for_stable_kernel():
     assert report.verdict["a4"] == "pass"
     assert report.verdict["overall"] == "pass"
     assert report.a1["worst_cond"] >= 1.0
-    assert report.a2["kappa"] >= report.a2["kappa_sampled"]
+    assert report.a2["method"] == "proof"
     data = report.to_dict()
     assert set(data) == {"kernel", "config", "a1", "a2", "a4", "verdict"}
     # builtin family: exact per-set suprema, no query grid probed
@@ -380,6 +381,24 @@ def test_certify_passes_for_stable_kernel():
     evidence = data["verdict"]["evidence"]
     assert evidence["queries_per_set"] is None and evidence["refine_iters"] is None
     assert evidence["center_sets"] == SMALL.max_centers * SMALL.trials
+
+
+def test_builtin_certify_takes_a2_from_the_closed_form(monkeypatch):
+    # the pair sample runs for custom kernels only
+    def no_sample(kernel, cfg):
+        raise AssertionError("a builtin certify drew the a2 pair sample")
+
+    gauss = gk.OperatorKernel(gk.custom(lambda x, y: np.exp(-((x - y) ** 2)), (0.0, 1.0)),
+                              gk.TaskCoupling.identity(2), p=2)
+    assert certify(gauss, SMALL).a2["method"] == "sampled"
+    monkeypatch.setattr(admissibility, "_a2_sample", no_sample)
+    for spec in (gk.tfamily(0.5), gk.wendland(), gk.exponential((-2.0, 2.0)),
+                 gk.combination(1.0, 2.0, t=-1.0)):
+        K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=2)
+        report = certify(K, SMALL)
+        assert report.a2 == {"kappa": scalar_uniform_bound(spec), "method": "proof",
+                             "max_abs_scalar": scalar_uniform_bound(spec)}
+        assert report.verdict["a2"] == "pass"
 
 
 def test_certify_gaussian_counterexample():
@@ -432,6 +451,7 @@ def test_certify_no_evidence_when_everything_singular():
     report = certify(K, cfg)
     assert report.a4["worst"] is None
     assert report.verdict["a4"] == "fail"
+    assert report.a1["worst_cond"] is None and report.a1["cholesky_ok"] is None
 
 
 NON_FINITE_KERNELS = [
@@ -456,6 +476,9 @@ def test_non_finite_evidence_never_passes(func, nan_sets):
     with np.errstate(divide="ignore", invalid="ignore"):
         report = certify(K, CertificationConfig(max_centers=3, grid_size=64, trials=20))
     assert report.a2["max_abs_scalar"] is None
+    # no evidence where no Gram passes the singularity rule (inverse distance)
+    no_gram = len(report.rows) == 0
+    assert (report.a1["worst_cond"] is None) == (report.a1["cholesky_ok"] is None) == no_gram
     json.dumps(report.to_dict(), allow_nan=False)
     verdict = report.verdict
     assert (verdict["a2"], verdict["a4"], verdict["overall"]) == ("fail", "fail", "fail")

@@ -29,7 +29,7 @@ def test_interpolate_single_sample(tmp_path, train_csv):
     rc = run(["interpolate", "--data", train_csv, "--kernel", "tfamily", "--t", "1.0",
               "--p", "2", "--coupling", "identity:1", "--out", out])
     assert rc == 0
-    data = json.load(open(out))
+    data = json.loads(Path(out).read_text())
     assert data["coeffs"] == [[4.0]]
     assert data["norm_lp1"] == 4.0
     assert data["kernel"]["family"] == "tfamily"
@@ -66,7 +66,7 @@ def test_predict_round_trip_bitwise(tmp_path):
     for line, x, row in zip(lines[1:], xs, ref):
         assert line == f"{x!r},{float(row[0])!r},{float(row[1])!r}"
     # predictions reproduce training values
-    loaded = model_from_dict(json.load(open(model_path)))
+    loaded = model_from_dict(json.loads(Path(model_path).read_text()))
     assert np.abs(predict_many(loaded, np.array(xs)) - ys).max() <= 1e-8
 
 
@@ -78,7 +78,7 @@ def test_fit_big_lambda_zeroes(tmp_path):
               "--p", "2", "--coupling", "identity:1", "--lambda", "1e9",
               "--out", out])
     assert rc == 0
-    data = json.load(open(out))
+    data = json.loads(Path(out).read_text())
     assert all(v == 0.0 for block in data["coeffs"] for v in block)
     assert data["meta"]["solver"] == "working-set-newton"
     assert data["meta"]["gap"] == 0.0
@@ -107,7 +107,7 @@ def test_fit_absolute_loss(tmp_path):
               "--p", "1", "--coupling", "identity:1", "--lambda", "0.1",
               "--loss", "absolute", "--out", out])
     assert rc == 0
-    assert json.load(open(out))["meta"]["solver"] == "working-set-newton"
+    assert json.loads(Path(out).read_text())["meta"]["solver"] == "working-set-newton"
 
 
 def test_pursuit_command(tmp_path):
@@ -118,7 +118,7 @@ def test_pursuit_command(tmp_path):
               "--p", "2", "--coupling", "identity:1", "--extra-centers", "0.45",
               "--out", out])
     assert rc == 0
-    data = json.load(open(out))
+    data = json.loads(Path(out).read_text())
     assert data["centers"] == [0.3, 0.6, 0.45]
     assert data["meta"]["solver"] == "admm-basis-pursuit"
     assert data["meta"]["primal_residual"] <= 1e-9
@@ -132,12 +132,12 @@ def test_certify_deterministic_and_csv(tmp_path):
     csv1 = str(tmp_path / "rows.csv")
     assert run(args + ["--out", r1, "--csv", csv1]) == 0
     assert run(args + ["--out", r2]) == 0
-    assert open(r1, "rb").read() == open(r2, "rb").read()
-    report = json.load(open(r1))
+    assert Path(r1).read_bytes() == Path(r2).read_bytes()
+    report = json.loads(Path(r1).read_text())
     assert set(report) == {"kernel", "config", "a1", "a2", "a4", "verdict", "meta"}
     assert report["verdict"]["overall"] == "pass"
     assert "generated_at" not in report["meta"]
-    rows = open(csv1).read().strip().splitlines()
+    rows = Path(csv1).read_text().strip().splitlines()
     assert rows[0] == "m,trial,worst_lambda"
     assert len(rows) == 1 + 3 * 10
 
@@ -148,7 +148,7 @@ def test_certify_documented_invocation_full_budget(tmp_path):
               "--coupling", "identity:2", "--max-centers", "6", "--grid", "512",
               "--trials", "200", "--seed", "42", "--out", out])
     assert rc == 0
-    verdict = json.load(open(out))["verdict"]
+    verdict = json.loads(Path(out).read_text())["verdict"]
     assert verdict["a1"] == "pass"
     assert verdict["a2"] == "pass"
     assert verdict["a4"] == "pass"
@@ -161,7 +161,7 @@ def test_certify_nondeterministic_has_timestamp(tmp_path):
               "--max-centers", "2", "--grid", "32", "--trials", "5", "--seed", "1",
               "--out", out])
     assert rc == 0
-    assert "generated_at" in json.load(open(out))["meta"]
+    assert "generated_at" in json.loads(Path(out).read_text())["meta"]
 
 
 def test_certify_strict_exit_code(tmp_path):
@@ -171,7 +171,7 @@ def test_certify_strict_exit_code(tmp_path):
               "--coupling", "identity:1", "--max-centers", "2", "--grid", "64",
               "--trials", "10", "--seed", "0", "--strict", "--out", out])
     assert rc == 2
-    assert json.load(open(out))["verdict"]["a4"] == "fail"
+    assert json.loads(Path(out).read_text())["verdict"]["a4"] == "fail"
 
 
 def test_lebesgue_scan_command(tmp_path):
@@ -182,7 +182,7 @@ def test_lebesgue_scan_command(tmp_path):
               "--grid", "64", "--trials", "10", "--seed", "3",
               "--out", out, "--csv", csv_out])
     assert rc == 0
-    data = json.load(open(out))
+    data = json.loads(Path(out).read_text())
     assert data["verdict"]["a4"] == "pass"
     assert data["a4"]["worst"] <= 1.0 + 1e-8
     assert os.path.exists(csv_out)
@@ -663,8 +663,8 @@ def test_math_failure_exit_code(tmp_path, capsys):
     # non-convergence: exit 2
     train2 = tmp_path / "t2.csv"
     train2.write_text("x,y1\n0.3,1.0\n0.6,0.5\n")
-    rc = run(["pursuit", "--data", str(train2), "--kernel", "tfamily", "--t", "1.0",
-              "--p", "2", "--coupling", "identity:1", "--extra-centers", "0.45",
+    rc = run(["pursuit", "--data", str(train2), "--kernel", "tfamily", "--t=-1.0",
+              "--p", "2", "--coupling", "identity:1", "--extra-centers", "0.9",
               "--max-iters", "2", "--out", str(tmp_path / "m2.json")])
     assert rc == 2
     assert "NonconvergenceError" in capsys.readouterr().err
@@ -684,7 +684,7 @@ def test_kernel_json_flag(tmp_path, train_csv):
     rc = run(["interpolate", "--data", train_csv, "--kernel-json", str(kpath),
               "--out", out])
     assert rc == 0
-    assert json.load(open(out))["coeffs"] == [[4.0]]
+    assert json.loads(Path(out).read_text())["coeffs"] == [[4.0]]
 
 
 def test_coupling_csv_flag(tmp_path):
@@ -696,7 +696,7 @@ def test_coupling_csv_flag(tmp_path):
     rc = run(["interpolate", "--data", str(train), "--kernel", "brownianbridge",
               "--p", "2", "--coupling", str(cpath), "--out", out])
     assert rc == 0
-    assert json.load(open(out))["kernel"]["coupling"]["A"] == [[2.0, 0.5], [0.5, 1.0]]
+    assert json.loads(Path(out).read_text())["kernel"]["coupling"]["A"] == [[2.0, 0.5], [0.5, 1.0]]
 
 
 def test_brownianbridge_writes_the_tfamily_t1_model(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 import groupkernels as gk
 from groupkernels.blocklinalg import coupling_opnorm
 from groupkernels.errors import DataFormatError, DomainError
+from groupkernels.gridsearch import vdc_points
 from groupkernels.kernels import scalar_uniform_bound, scalar_values
 
 unit_interior = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
@@ -52,14 +53,25 @@ def test_symmetry_exact_bulk(spec):
 @pytest.mark.parametrize("spec", [
     gk.tfamily(-1.0), gk.tfamily(1.0), gk.wendland(), gk.exponential((-2.0, 2.0)),
     gk.combination(1.0, 1.0),
+    gk.tfamily(-0.5), gk.tfamily(0.0), gk.tfamily(0.5), gk.tfamily(0.7),
+    gk.combination(1.0, 2.0, t=-1.0),
+    # on a subinterval of (0, 1) the bound is that of all of (0, 1)
+    gk.ScalarKernelSpec("tfamily", t=0.7, domain=(0.2, 0.9)),
+    gk.ScalarKernelSpec("wendland", domain=(0.2, 0.9)),
+    gk.ScalarKernelSpec("combination", t=-1.0, weights=(1.0, 2.0), domain=(0.1, 0.6)),
 ])
 def test_uniform_bound_sampled(spec):
+    # certify's a2 rests on this bound for every builtin family
     rng = np.random.default_rng(5)
     lo, hi = spec.domain
     x = rng.uniform(lo, hi, size=10_000)
     y = rng.uniform(lo, hi, size=10_000)
     bound = scalar_uniform_bound(spec)
     assert np.abs(scalar_values(spec, x, y)).max() <= bound + 1e-12
+    # all pairs, diagonal included (where the supremum lives), of the
+    # pair sample that custom kernels get: nested grid points plus uniforms
+    pts = np.concatenate([vdc_points(lo, hi, 512), rng.uniform(lo, hi, 512)])
+    assert np.abs(scalar_values(spec, pts[:, None], pts[None, :])).max() <= bound + 1e-12
     # operator-norm version of the bound for a non-trivial coupling
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     K = gk.OperatorKernel(spec, gk.TaskCoupling.from_matrix(A), p=2)

@@ -23,7 +23,7 @@ PINNED = ["--p", "2", "--coupling", "identity:2", "--max-centers=6", "--grid=512
 
 # (name, command, kernel and budget flags, seed): the certify-pinned benchmark
 # cases, wendland at 2**32 + 5, a seed above 32 bits, and tfamily t=0.5 at
-# 12 x 1000, whose 12-center sets and a2 probe take several blocks
+# 12 x 1000, whose 12-center sets take several blocks
 CLI_CASES = [
     ("tfamily t=1", "certify", ["--kernel", "tfamily", "--t", "1"], SEED),
     ("tfamily t=-1", "certify", ["--kernel", "tfamily", "--t", "-1"], SEED),
@@ -46,25 +46,25 @@ CUSTOM_CASES = [
 CUSTOM_CFG = CertificationConfig(max_centers=4, grid_size=128, trials=30, seed=0)
 
 EXPECTED = {
-    "tfamily t=1 report": "d80be6fd4ce9e552fe6bc9afe9466bfc895cae9a8909f04df1391d587674c976",
+    "tfamily t=1 report": "9ce51ae6bdd8911d819bd7aa203d8757626dce5b782d215d0e35e35eede26e28",
     "tfamily t=1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "tfamily t=-1 report": "2008af41764fee61813df577a393f6a9b34d073396f36ba21039b9d669aa7f2f",
+    "tfamily t=-1 report": "425e7b9a62ed395614ef8bf6cbafc45daaeec224ddb4779f7b09b1a877bfe4b0",
     "tfamily t=-1 rows": "e0c089f8774012f81029101ee1ca644c0b48b5ac5d1c8a755898f849ec4e396a",
-    "wendland report": "6f7a8ca035d6ac09382f01ec4015c48ed058de89b13ec02ad60d8aa9892a7e05",
+    "wendland report": "5c758abeb8cde1c68e44a0c716d4eedcaf72d4a8fb80b1112c1546be4e0b7619",
     "wendland rows": "379182739e93265b843c2e012d2c387b735f6ee8f1dbcc75d5ff83744a08f529",
-    "exponential [-2,2] report": "0e478fb599ca76ff0755ef92b75a6e769c416b63256a7ed5d76739b4acbc8658",
+    "exponential [-2,2] report": "c7f49303090c8efc96f6108b371943813f78e1796ade0338a209aa1ec1d4e916",
     "exponential [-2,2] rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
     "combination 1,1 report": "d969c07551ed730ac00923e7ccf1a4dd214cb2af281695d2f3fb5a08e325a210",
     "combination 1,1 rows": "8679d2bf6cb8e7792923aa73ad85f490c04f94e85e7caf3655e6c4e2d4243006",
-    "wendland seed 2**32+5 report": "4c49613a0c4a1539e3de52056b97c8a579ee1a8f3683b7ac26f23a2d0dab2cd5",
+    "wendland seed 2**32+5 report": "ee94b66849d6e053053c68f399fa6c29b8ea92f48fb11461b08950ab003f7b58",
     "wendland seed 2**32+5 rows": "a15606834be4679c6250f3e4a651c4cd16653dcd77cf378aa9857ef770a6798c",
-    "tfamily t=0.5 12x1000 report": "cea2d46ac6c6060166681baed0873af312f5d0c3e4566a4646d6005ccde339e0",
+    "tfamily t=0.5 12x1000 report": "ed7af7a310f37469888e1f680e58f63577e914dc34f4f273f74592e4d4e7a9ae",
     "tfamily t=0.5 12x1000 rows": "80fe8870d2858ae46f0f6932d64695c95fc9cc81ac27f1f7cfdb545a256711c5",
-    "gaussian report": "2f48ba2453be6590faa53a8bb75726a44a72506c2bf54b8f67380b4c8883bcc1",
+    "gaussian report": "01dd853b9287a8562d4a4bf1b515f55f0f1f78a46067cd9e468085bdf8da5d6b",
     "gaussian rows": "bc671b9d2bff8a771aa7518a082a34f039c6dcbc6bc9b7737879e8d5427e821d",
-    "tfamily(-1) as custom report": "e31a0188d5d374dd1475235f9a792d3c21eb07dc5238c577079c142edf57543d",
+    "tfamily(-1) as custom report": "8b6fc94a1cadfde0cf6237a5397f5dd6fba55a8f31c97fc0addf503220313c38",
     "tfamily(-1) as custom rows": "cd4b411478d3b578e96e38226de5a8cf4b11f8d7843b40e7449a6493eeca4104",
-    "indefinite report": "ea04695691716c70fe3020fcf46d9fdf0d853842724413bcd45b705faab97253",
+    "indefinite report": "b3d38b0ea54fc58f567db6a7c67806c0a37546d7e22589b28ebff5de7a5125ba",
     "indefinite rows": "1323a59ec574fb4701cb611bc8c82cc4d3d364c915278c58215b722f2eafa41f",
 }
 

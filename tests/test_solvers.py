@@ -320,6 +320,34 @@ def test_pursuit_dominance_sample():
         assert bp.norm_lp1 >= exact.norm_lp1 - 1e-6
 
 
+def test_pursuit_starts_at_the_representer_point():
+    # C4's wendland instances with sites drawn by rank shift (sorted
+    # uniforms on (0, 1 - (M - 1) sep), shifted by rank times sep): from
+    # zero, ADMM stalled on instances 5 and 146 with residuals near 1e-7
+    # after 200,000 iterations.  From the site interpolant and its dual,
+    # the fixed point for an admissible kernel, both stop at iteration 1
+    rng = np.random.default_rng(100)
+    for i in range(147):
+        n = int(rng.integers(1, 4))
+        p = float(rng.choice([1.0, 2.0]))
+        coupling = (gk.TaskCoupling.identity(n)
+                    if (rng.random() < 0.5 or n == 1) else random_coupling(n, rng))
+        K = gk.OperatorKernel(gk.wendland(), coupling, p=p)
+        m = int(rng.integers(1, 6))
+        extra = int(rng.integers(0, 4))
+        sep = 1.0 / (10.0 * (m + extra))
+        sites = (np.sort(rng.uniform(0.0, 1.0 - (m + extra - 1) * sep, m + extra))
+                 + sep * np.arange(m + extra))
+        cons = sites[np.sort(rng.choice(m + extra, size=m, replace=False))]
+        y = BlockVector(rng.standard_normal((m, n)), p)
+        if i not in (5, 146):
+            continue
+        bp = group_basis_pursuit(K, sites, cons, y, max_iters=2_000)
+        assert bp.meta["iterations"] == 1
+        assert max(bp.meta["primal_residual"], bp.meta["dual_residual"]) <= 1e-9
+        assert bp.norm_lp1 <= min_norm_interpolant(K, cons, y).norm_lp1 * (1 + 1e-12)
+
+
 def test_pursuit_gaussian_augmentation_helps():
     # when the stability bound fails, an extra center strictly lowers the
     # achievable norm: pinned clustered instance
@@ -345,9 +373,9 @@ def test_pursuit_errors():
     with pytest.raises(RankError):
         group_basis_pursuit(Kc, [0.3, 0.6, 0.8], [0.3, 0.6], y)
     with pytest.raises(NonconvergenceError) as exc:
-        K = gk.OperatorKernel(gk.tfamily(1.0), random_coupling(2, rng), p=2)
+        K = gk.OperatorKernel(gk.tfamily(-1.0), random_coupling(2, rng), p=2)
         yy = BlockVector(rng.standard_normal((2, 2)), 2)
-        group_basis_pursuit(K, np.array([0.3, 0.6, 0.45]), np.array([0.3, 0.6]), yy,
+        group_basis_pursuit(K, np.array([0.3, 0.6, 0.9]), np.array([0.3, 0.6]), yy,
                             max_iters=3)
     assert exc.value.residuals is not None
     assert exc.value.iterations == 3
