@@ -16,11 +16,10 @@ import math
 import os
 import sys
 import tempfile
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import admissibility, kernels, solvers
-from .blocklinalg import BlockVector
+# numpy and the package modules load inside the functions that use them,
+# so that a command compiles only its own modules
 from .errors import (
     DataFormatError,
     GroupKernelsError,
@@ -28,6 +27,11 @@ from .errors import (
     RankError,
     SingularError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import admissibility, kernels
 
 # every package error that is not a mathematical failure is caller misuse
 # or bad input; json.JSONDecodeError is a ValueError
@@ -89,6 +93,7 @@ def _parse_p(value: str) -> float:
 
 
 def _parse_coupling(value: str) -> kernels.TaskCoupling:
+    from . import kernels
     if value.startswith("identity:"):
         try:
             n = int(value.split(":", 1)[1])
@@ -99,6 +104,7 @@ def _parse_coupling(value: str) -> kernels.TaskCoupling:
 
 
 def _add_kernel_flags(sub):
+    from . import kernels
     families = (*kernels.FAMILY_ALIASES, *kernels.BUILTIN_FAMILIES)
     sub.add_argument("--kernel", choices=families)
     sub.add_argument("--kernel-json", help="load the full kernel object from JSON instead")
@@ -110,6 +116,7 @@ def _add_kernel_flags(sub):
 
 
 def _build_kernel(args) -> kernels.OperatorKernel:
+    from . import kernels
     if args.kernel_json:
         return kernels.load_kernel(args.kernel_json)
     if not args.kernel:
@@ -135,6 +142,7 @@ def _meta(args) -> dict:
 
 
 def _model_json(model, args) -> str:
+    from . import solvers
     data = solvers.model_to_dict(model)
     data["meta"].update(_meta(args))
     return _json_text(data)
@@ -149,6 +157,8 @@ def _predictions_csv(points: np.ndarray, preds: np.ndarray) -> str:
 
 
 def _load_training(args, kernel):
+    from . import solvers
+    from .blocklinalg import BlockVector
     x, y = solvers.read_training_csv(args.data, kernel.scalar.domain)
     if y.shape[1] != kernel.coupling.n:
         raise DataFormatError(
@@ -158,6 +168,7 @@ def _load_training(args, kernel):
 
 
 def _cmd_interpolate(args) -> int:
+    from . import solvers
     kernel = _build_kernel(args)
     x, y = _load_training(args, kernel)
     model = solvers.min_norm_interpolant(kernel, x, y)
@@ -166,6 +177,7 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from . import solvers
     kernel = _build_kernel(args)
     x, y = _load_training(args, kernel)
     if args.lam is None and args.lambda_grid is None:
@@ -192,6 +204,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from . import kernels, solvers
     model = solvers.model_from_dict(kernels.read_json(args.model))
     points = solvers.read_points_csv(args.points, model.kernel.scalar.domain)
     preds = solvers.predict_many(model, points)
@@ -200,6 +213,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_pursuit(args) -> int:
+    import numpy as np
+    from . import solvers
     kernel = _build_kernel(args)
     x, y = _load_training(args, kernel)
     extra = _parse_list(args.extra_centers, "--extra-centers") if args.extra_centers else []
@@ -211,6 +226,7 @@ def _cmd_pursuit(args) -> int:
 
 
 def _scan_config(args) -> admissibility.CertificationConfig:
+    from . import admissibility
     return admissibility.CertificationConfig(
         max_centers=args.max_centers,
         grid_size=args.grid,
@@ -221,6 +237,7 @@ def _scan_config(args) -> admissibility.CertificationConfig:
 
 
 def _cmd_certify(args) -> int:
+    from . import admissibility
     kernel = _build_kernel(args)
     cfg = _scan_config(args)
     report = admissibility.certify(kernel, cfg)
@@ -236,6 +253,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_lebesgue_scan(args) -> int:
+    from . import admissibility
     kernel = _build_kernel(args)
     cfg = _scan_config(args)
     result = admissibility.lebesgue_scan(kernel, cfg)
@@ -320,6 +338,7 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        import numpy as np
         # numpy would print a RuntimeWarning line for an overflow before the
         # one error line; the commands check their results for non-finite values
         with np.errstate(all="ignore"):

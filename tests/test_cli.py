@@ -534,41 +534,54 @@ def test_any_json_value_exits_cleanly(case):
         _assert_clean_exit(*_run_reading(Path(tmp), name, json.dumps(doc)))
 
 
-def test_cli_import_leaves_scipy_out():
+def test_each_command_loads_only_its_modules(tmp_path):
+    # the package loads its modules on first access and cli imports them
+    # inside its functions, so a command compiles only what it runs.  scipy
+    # is a test-only oracle.  numpy loads numpy.random on first use only;
+    # loading it raises a command's peak RSS by about 5.4 MB (VmHWM 31.0 ->
+    # 36.4 MB after importing groupkernels.cli; certify-pinned peak_rss_mb
+    # 35.9 -> 41.3 MB when the center sets were drawn through
+    # np.random.default_rng) and costs about 14 ms of import; the counter
+    # hash in admissibility needs no generator.  Each interpreter runs one
+    # command kind, since a module once loaded stays loaded
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = ("import sys, groupkernels.cli; print(groupkernels.cli.__file__); "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    where, loaded = proc.stdout.strip().splitlines()
-    assert Path(where).resolve().is_relative_to(root / "src")
-    assert loaded == "[]"
-
-
-def test_certify_and_scan_leave_numpy_random_out(tmp_path):
-    # numpy loads numpy.random on first use only.  Loading it raises a
-    # command's peak RSS by about 5.4 MB (VmHWM 31.0 -> 36.4 MB after
-    # importing groupkernels.cli; certify-pinned peak_rss_mb 35.9 -> 41.3 MB
-    # when the center sets were drawn through np.random.default_rng) and
-    # costs about 14 ms of import; the counter hash in admissibility needs
-    # no generator
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    (tmp_path / "data.csv").write_text("x,y1\n0.2,1.0\n0.5,0.3\n0.8,-0.4\n")
+    (tmp_path / "points.csv").write_text("x\n0.3\n0.6\n")
     budget = ["--coupling", "identity:1", "--max-centers", "4", "--trials", "20", "--grid", "32"]
-    commands = [["certify", "--kernel", "wendland", *budget, "--out", str(tmp_path / "c.json")],
-                ["lebesgue-scan", "--kernel", "tfamily", "--t", "0.5", *budget,
-                 "--out", str(tmp_path / "s.json")]]
-    code = ("import sys\nfrom groupkernels.cli import run\n"
-            f"assert [run(argv) for argv in {commands!r}] == [0, 0]\n"
-            "print('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    scans = [["certify", "--kernel", "wendland", *budget, "--out", str(tmp_path / "c.json")],
+             ["lebesgue-scan", "--kernel", "tfamily", "--t", "0.5", *budget,
+              "--out", str(tmp_path / "s.json")]]
+    model = str(tmp_path / "m.json")
+    models = [["interpolate", "--kernel", "wendland", "--coupling", "identity:1",
+               "--data", str(tmp_path / "data.csv"), "--out", model],
+              ["predict", "--model", model, "--points", str(tmp_path / "points.csv"),
+               "--out", str(tmp_path / "p.csv")]]
+    loaded = {}
+    for kind, commands in (("scans", scans), ("models", models)):
+        code = ("import json, sys\n"
+                "def loaded():\n"
+                "    return sorted(m for m in sys.modules if m in ('numpy', 'numpy.random')\n"
+                "                  or m.partition('.')[0] in ('groupkernels', 'scipy'))\n"
+                "import groupkernels\nstages = [loaded()]\n"
+                "import groupkernels.cli\nstages.append(loaded())\n"
+                f"assert [groupkernels.cli.run(argv) for argv in {commands!r}] == [0, 0]\n"
+                "stages.append(loaded())\n"
+                "print(groupkernels.cli.__file__)\nprint(json.dumps(stages))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        where, stages = proc.stdout.strip().splitlines()
+        assert Path(where).resolve().is_relative_to(root / "src")
+        package, cli, loaded[kind] = json.loads(stages)
+        assert package == ["groupkernels"]
+        assert cli == ["groupkernels", "groupkernels.cli", "groupkernels.errors"]
+        assert not any(m.startswith("scipy") for m in loaded[kind])
+    assert "groupkernels.solvers" not in loaded["scans"]
+    assert "numpy.random" not in loaded["scans"]
+    assert "groupkernels.admissibility" not in loaded["models"]
+    assert "groupkernels.solvers" in loaded["models"]
 
 
 @pytest.mark.parametrize("loss", ["squared", "absolute"])

@@ -37,13 +37,21 @@ def test_bench_tracer_wraps_existing_names(tmp_path, monkeypatch):
         (tmp_path / "data.csv").write_text("x,y1\n0.2,1.0\n0.5,0.3\n0.8,-0.4\n")
         kernel = ["--kernel", "wendland", "--coupling", "identity:1", "--data",
                   str(tmp_path / "data.csv")]
+        (tmp_path / "points.csv").write_text("x\n0.3\n0.6\n")
         codes, _ = tracer.run_pass([["interpolate", *kernel, "--out", str(tmp_path / "i.json")],
                                     ["fit", *kernel, "--lambda", "0.1",
-                                     "--out", str(tmp_path / "f.json")]], t)
+                                     "--out", str(tmp_path / "f.json")],
+                                    ["certify", *kernel[:4], "--max-centers", "3",
+                                     "--trials", "10", "--out", str(tmp_path / "c.json")],
+                                    ["predict", "--model", str(tmp_path / "i.json"),
+                                     "--points", str(tmp_path / "points.csv"),
+                                     "--out", str(tmp_path / "p.csv")]], t)
     finally:
         t.uninstall_all()
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0, 0]
     calls = t.summary()["calls"]
     assert calls["blocklinalg.gram_assemble"] == 1 and calls["solvers.prox"] > 0
+    # cli looks these up through the module attribute that the tracer patches
+    assert calls["admissibility.certify"] == 1 and calls["solvers.predict_many"] == 1
     assert t.counts["solvers.fista.iterations"] > 0
     assert all(getattr(mod, attr) is original for mod, attr, original in patched)
