@@ -534,16 +534,14 @@ def test_any_json_value_exits_cleanly(case):
         _assert_clean_exit(*_run_reading(Path(tmp), name, json.dumps(doc)))
 
 
-def test_each_command_loads_only_its_modules(tmp_path):
+@pytest.fixture(scope="module")
+def command_loads(tmp_path_factory):
     # the package loads its modules on first access and cli imports them
-    # inside its functions, so a command compiles only what it runs.  scipy
-    # is a test-only oracle.  numpy loads numpy.random on first use only;
-    # loading it raises a command's peak RSS by about 5.4 MB (VmHWM 31.0 ->
-    # 36.4 MB after importing groupkernels.cli; certify-pinned peak_rss_mb
-    # 35.9 -> 41.3 MB when the center sets were drawn through
-    # np.random.default_rng) and costs about 14 ms of import; the counter
-    # hash in admissibility needs no generator.  Each interpreter runs one
-    # command kind, since a module once loaded stays loaded
+    # inside its functions, so a command compiles only what it runs.  Each
+    # fresh interpreter runs one command kind, since a module once loaded
+    # stays loaded; it reports the modules loaded after `import groupkernels`,
+    # after `import groupkernels.cli` and after the commands
+    tmp_path = tmp_path_factory.mktemp("loads")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
@@ -558,7 +556,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
                "--data", str(tmp_path / "data.csv"), "--out", model],
               ["predict", "--model", model, "--points", str(tmp_path / "points.csv"),
                "--out", str(tmp_path / "p.csv")]]
-    loaded = {}
+    loads = {}
     for kind, commands in (("scans", scans), ("models", models)):
         code = ("import json, sys\n"
                 "def loaded():\n"
@@ -573,15 +571,38 @@ def test_each_command_loads_only_its_modules(tmp_path):
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         where, stages = proc.stdout.strip().splitlines()
-        assert Path(where).resolve().is_relative_to(root / "src")
-        package, cli, loaded[kind] = json.loads(stages)
+        loads[kind] = (Path(where).resolve(), json.loads(stages))
+    return root, loads
+
+
+def test_cli_import_leaves_scipy_out(command_loads):
+    # scipy is a test-only oracle: no stage of any command loads it
+    root, loads = command_loads
+    for where, stages in loads.values():
+        assert where.is_relative_to(root / "src")
+        assert not any(m.startswith("scipy") for stage in stages for m in stage)
+
+
+def test_certify_and_scan_leave_numpy_random_out(command_loads):
+    # numpy loads numpy.random on first use only.  Loading it raises a
+    # command's peak RSS by about 5.4 MB (VmHWM 31.0 -> 36.4 MB after
+    # importing groupkernels.cli; certify-pinned peak_rss_mb 35.9 -> 41.3 MB
+    # when the center sets were drawn through np.random.default_rng) and
+    # costs about 14 ms of import; the counter hash in admissibility needs
+    # no generator
+    _, loads = command_loads
+    assert "numpy.random" not in loads["scans"][1][-1]
+
+
+def test_each_command_loads_only_its_modules(command_loads):
+    _, loads = command_loads
+    for _, (package, cli, _) in loads.values():
         assert package == ["groupkernels"]
         assert cli == ["groupkernels", "groupkernels.cli", "groupkernels.errors"]
-        assert not any(m.startswith("scipy") for m in loaded[kind])
-    assert "groupkernels.solvers" not in loaded["scans"]
-    assert "numpy.random" not in loaded["scans"]
-    assert "groupkernels.admissibility" not in loaded["models"]
-    assert "groupkernels.solvers" in loaded["models"]
+    scans, models = loads["scans"][1][-1], loads["models"][1][-1]
+    assert "groupkernels.solvers" not in scans
+    assert "groupkernels.admissibility" not in models
+    assert "groupkernels.solvers" in models
 
 
 @pytest.mark.parametrize("loss", ["squared", "absolute"])
