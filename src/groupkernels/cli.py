@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 import tempfile
@@ -65,31 +64,20 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse_float(value: str, what: str) -> float:
+def _reals(value: str) -> list[float]:
+    """argparse type: comma-separated reals, empty items skipped."""
     try:
-        return float(value)
+        return [float(v) for v in value.split(",") if v.strip() != ""]
     except ValueError:
-        raise UsageError(f"{what}: expected a real number, got {value!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {value!r}") from None
 
 
-def _parse_pair(value: str, what: str):
-    parts = value.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{what}: expected two comma-separated reals, got {value!r}")
-    return _parse_float(parts[0], what), _parse_float(parts[1], what)
-
-
-def _parse_list(value: str, what: str):
-    return [_parse_float(v, what) for v in value.split(",") if v.strip() != ""]
-
-
-def _parse_p(value: str) -> float:
-    if value == "inf":
-        return math.inf
-    p = _parse_float(value, "--p")
-    if p < 1:
-        raise UsageError(f"--p must be >= 1, got {value}")
-    return p
+def _pair(value: str) -> tuple[float, float]:
+    """argparse type: two comma-separated reals."""
+    pair = _reals(value)
+    if len(pair) != 2 or value.count(",") != 1:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated reals, got {value!r}")
+    return pair[0], pair[1]
 
 
 def _parse_coupling(value: str) -> kernels.TaskCoupling:
@@ -103,36 +91,15 @@ def _parse_coupling(value: str) -> kernels.TaskCoupling:
     return kernels.TaskCoupling.from_csv(value)
 
 
-def _add_kernel_flags(sub):
-    from . import kernels
-    families = (*kernels.FAMILY_ALIASES, *kernels.BUILTIN_FAMILIES)
-    sub.add_argument("--kernel", choices=families)
-    sub.add_argument("--kernel-json", help="load the full kernel object from JSON instead")
-    sub.add_argument("--t", type=float, default=None)
-    sub.add_argument("--weights", default=None, help="C1,C2 for the combination family")
-    sub.add_argument("--domain", default=None, help="lo,hi open interval")
-    sub.add_argument("--p", default="2")
-    sub.add_argument("--coupling", default=None, help="identity:N or a CSV path")
-
-
 def _build_kernel(args) -> kernels.OperatorKernel:
     from . import kernels
-    if args.kernel_json:
+    if args.kernel_json is not None:
         return kernels.load_kernel(args.kernel_json)
-    if not args.kernel:
-        raise UsageError("either --kernel or --kernel-json is required")
-    spec_kwargs = {}
-    if args.t is not None:
-        spec_kwargs["t"] = args.t
-    if args.weights is not None:
-        spec_kwargs["weights"] = _parse_pair(args.weights, "--weights")
-    if args.domain is not None:
-        spec_kwargs["domain"] = _parse_pair(args.domain, "--domain")
-    spec = kernels.ScalarKernelSpec(args.kernel, **spec_kwargs)
+    spec = kernels.ScalarKernelSpec(args.kernel, t=args.t, weights=args.weights,
+                                    domain=args.domain)
     if args.coupling is None:
         raise UsageError("--coupling is required (identity:N or a CSV path)")
-    coupling = _parse_coupling(args.coupling)
-    return kernels.OperatorKernel(scalar=spec, coupling=coupling, p=_parse_p(args.p))
+    return kernels.OperatorKernel(scalar=spec, coupling=_parse_coupling(args.coupling), p=args.p)
 
 
 def _meta(args) -> dict:
@@ -193,7 +160,7 @@ def _cmd_fit(args) -> int:
 
     if args.lambda_grid is not None:
         rows = ["lambda,norm_lp1,objective"]
-        for lam in _parse_list(args.lambda_grid, "--lambda-grid"):
+        for lam in args.lambda_grid:
             m = solvers.fit_regularized(kernel, x, y, config(lam))
             rows.append(f"{lam!r},{m.norm_lp1!r},{m.meta['objective']!r}")
         _write_atomic(args.path_out, "\n".join(rows) + "\n")
@@ -217,8 +184,7 @@ def _cmd_pursuit(args) -> int:
     from . import solvers
     kernel = _build_kernel(args)
     x, y = _load_training(args, kernel)
-    extra = _parse_list(args.extra_centers, "--extra-centers") if args.extra_centers else []
-    centers = np.concatenate([x, np.asarray(extra, dtype=float)])
+    centers = np.concatenate([x, np.asarray(args.extra_centers, dtype=float)])
     model = solvers.group_basis_pursuit(kernel, centers, x, y,
                                         max_iters=args.max_iters)
     _write_atomic(args.out, _model_json(model, args))
@@ -266,59 +232,63 @@ def _cmd_lebesgue_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the kernel checks its family and value ranges: parsing loads no numpy
+    kernel = argparse.ArgumentParser(add_help=False)
+    which = kernel.add_mutually_exclusive_group(required=True)
+    which.add_argument("--kernel", help="builtin family name")
+    which.add_argument("--kernel-json", help="load the full kernel object from JSON instead")
+    kernel.add_argument("--t", type=float)
+    kernel.add_argument("--weights", type=_pair, help="C1,C2 for the combination family")
+    kernel.add_argument("--domain", type=_pair, help="lo,hi open interval")
+    kernel.add_argument("--p", type=float, default=2.0)
+    kernel.add_argument("--coupling", help="identity:N or a CSV path")
+    kernel.add_argument("--deterministic", action="store_true")
+
     parser = _Parser(prog="groupkernels",
                      description="multi-task kernel interpolation and learning "
                                  "with grouped coefficient norms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="regularized fit from a training CSV")
-    _add_kernel_flags(p_fit)
+    p_fit = sub.add_parser("fit", parents=[kernel], help="regularized fit from a training CSV")
     p_fit.add_argument("--data", required=True)
-    p_fit.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_fit.add_argument("--lambda-grid", default=None,
+    p_fit.add_argument("--lambda", dest="lam", type=float)
+    p_fit.add_argument("--lambda-grid", type=_reals,
                        help="comma-separated penalty weights; emits a path CSV")
-    p_fit.add_argument("--path-out", default=None)
+    p_fit.add_argument("--path-out")
     p_fit.add_argument("--loss", choices=("squared", "absolute"), default="squared")
     p_fit.add_argument("--max-iters", type=int, default=100_000)
     p_fit.add_argument("--tol", type=float, default=1e-10)
-    p_fit.add_argument("--out", default=None)
-    p_fit.add_argument("--deterministic", action="store_true")
+    p_fit.add_argument("--out")
 
-    p_int = sub.add_parser("interpolate", help="exact minimal-norm interpolation")
-    _add_kernel_flags(p_int)
+    p_int = sub.add_parser("interpolate", parents=[kernel], help="exact minimal-norm interpolation")
     p_int.add_argument("--data", required=True)
     p_int.add_argument("--out", required=True)
-    p_int.add_argument("--deterministic", action="store_true")
 
     p_pre = sub.add_parser("predict", help="evaluate a persisted model at points")
     p_pre.add_argument("--model", required=True)
     p_pre.add_argument("--points", required=True)
     p_pre.add_argument("--out", required=True)
 
-    p_pur = sub.add_parser("pursuit", help="grouped basis pursuit over an "
-                                           "augmented center set")
-    _add_kernel_flags(p_pur)
+    p_pur = sub.add_parser("pursuit", parents=[kernel],
+                           help="grouped basis pursuit over an augmented center set")
     p_pur.add_argument("--data", required=True)
-    p_pur.add_argument("--extra-centers", default=None)
+    p_pur.add_argument("--extra-centers", type=_reals, default=())
     p_pur.add_argument("--max-iters", type=int, default=200_000)
     p_pur.add_argument("--out", required=True)
-    p_pur.add_argument("--deterministic", action="store_true")
 
-    for name, helptext in (("certify", "run the a1-a4 certification probes"),
-                           ("lebesgue-scan", "scan the interpolation stability constant")):
-        p = sub.add_parser(name, help=helptext)
-        _add_kernel_flags(p)
-        p.add_argument("--max-centers", type=int, default=6)
-        p.add_argument("--grid", type=int, default=512,
-                       help="probe grid of custom kernels only, which the CLI cannot build")
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tolerance", type=float, default=1e-8)
-        p.add_argument("--out", required=True)
-        p.add_argument("--csv", default=None)
-        p.add_argument("--deterministic", action="store_true")
-        if name == "certify":
-            p.add_argument("--strict", action="store_true")
+    scan = argparse.ArgumentParser(add_help=False, parents=[kernel])
+    scan.add_argument("--max-centers", type=int, default=6)
+    scan.add_argument("--grid", type=int, default=512,
+                      help="probe grid of custom kernels only, which the CLI cannot build")
+    scan.add_argument("--trials", type=int, default=200)
+    scan.add_argument("--seed", type=int, default=0)
+    scan.add_argument("--tolerance", type=float, default=1e-8)
+    scan.add_argument("--out", required=True)
+    scan.add_argument("--csv")
+    p_cer = sub.add_parser("certify", parents=[scan], help="run the a1-a4 certification probes")
+    p_cer.add_argument("--strict", action="store_true")
+    sub.add_parser("lebesgue-scan", parents=[scan],
+                   help="scan the interpolation stability constant")
 
     return parser
 

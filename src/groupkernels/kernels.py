@@ -59,7 +59,8 @@ class ScalarKernelSpec:
             object.__setattr__(self, "family", family)
             object.__setattr__(self, "t", t)
         if self.family not in BUILTIN_FAMILIES + ("custom",):
-            raise ValueError(f"unknown kernel family {self.family!r}")
+            raise ValueError(f"unknown kernel family {self.family!r}; known families: "
+                             f"{', '.join((*BUILTIN_FAMILIES, *FAMILY_ALIASES))}")
         domain = self.domain
         if domain is None:
             domain = (-math.inf, math.inf) if self.family == "exponential" else (0.0, 1.0)

@@ -371,8 +371,13 @@ _MODEL = {"kernel": _KERNEL, "centers": [0.5], "coeffs": [[1.0]]}
     ("predict", json.dumps({**_MODEL, "kernel": {**_KERNEL, "t": "1"}}),
      "kernel JSON: field 't' is malformed"),
     ("interpolate", '{"family": "wendland"}', "kernel JSON: missing field 'coupling.A'"),
+    ("interpolate", json.dumps({**_KERNEL, "coupling": {"n": 2, "A": [[1.0]]}}),
+     "coupling n does not match matrix shape"),
+    # json.load accepts NaN
+    ("predict", json.dumps({**_MODEL, "coeffs": [[float("nan")]]}),
+     "model coefficients must be finite"),
 ], ids=["model without kernel", "model not an object", "tfamily without t", "ragged coeffs",
-        "t a string", "kernel without coupling"])
+        "t a string", "kernel without coupling", "coupling n against A", "coeffs NaN"])
 def test_malformed_json_exits_1_naming_the_field(tmp_path, capsys, command, text, fragment):
     bad, data = tmp_path / "bad.json", tmp_path / "data.csv"
     bad.write_text(text)
@@ -540,7 +545,8 @@ def command_loads(tmp_path_factory):
     # inside its functions, so a command compiles only what it runs.  Each
     # fresh interpreter runs one command kind, since a module once loaded
     # stays loaded; it reports the modules loaded after `import groupkernels`,
-    # after `import groupkernels.cli` and after the commands
+    # after `import groupkernels.cli` and parsing alone (--help and a usage
+    # error), and after the commands
     tmp_path = tmp_path_factory.mktemp("loads")
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -556,6 +562,8 @@ def command_loads(tmp_path_factory):
                "--data", str(tmp_path / "data.csv"), "--out", model],
               ["predict", "--model", model, "--points", str(tmp_path / "points.csv"),
                "--out", str(tmp_path / "p.csv")]]
+    parsing = [["--help"], ["certify", "--kernel", "wendland", "--weights", "1", *budget,
+                            "--out", str(tmp_path / "x.json")]]
     loads = {}
     for kind, commands in (("scans", scans), ("models", models)):
         code = ("import json, sys\n"
@@ -563,7 +571,11 @@ def command_loads(tmp_path_factory):
                 "    return sorted(m for m in sys.modules if m in ('numpy', 'numpy.random')\n"
                 "                  or m.partition('.')[0] in ('groupkernels', 'scipy'))\n"
                 "import groupkernels\nstages = [loaded()]\n"
-                "import groupkernels.cli\nstages.append(loaded())\n"
+                "import contextlib, io, groupkernels.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                f"    assert [groupkernels.cli.run(argv) for argv in {parsing!r}] == [0, 1]\n"
+                "stages.append(loaded())\n"
                 f"assert [groupkernels.cli.run(argv) for argv in {commands!r}] == [0, 0]\n"
                 "stages.append(loaded())\n"
                 "print(groupkernels.cli.__file__)\nprint(json.dumps(stages))")
@@ -598,6 +610,7 @@ def test_each_command_loads_only_its_modules(command_loads):
     _, loads = command_loads
     for _, (package, cli, _) in loads.values():
         assert package == ["groupkernels"]
+        # after the import, --help and a usage error: neither loads numpy
         assert cli == ["groupkernels", "groupkernels.cli", "groupkernels.errors"]
     scans, models = loads["scans"][1][-1], loads["models"][1][-1]
     assert "groupkernels.solvers" not in scans
@@ -652,8 +665,16 @@ _TFAMILY = ["--kernel", "tfamily", "--t", "1.0", "--coupling", "identity:1"]
      "ValueError: weights must be finite and nonnegative with C1 + C2 > 0, got (inf, 1.0)"),
     (["interpolate", "--kernel-json", "{kernel}", "--data", "{data}"],
      "ValueError: weights must be finite and nonnegative with C1 + C2 > 0, got (inf, 1.0)"),
+    (["interpolate", "--kernel", "wendland", "--domain", "0.5,0.2", "--coupling", "identity:1",
+      "--data", "{data}"],
+     "ValueError: domain must satisfy lo < hi, got (0.5, 0.2)"),
+    (["interpolate", "--kernel", "wendland", "--coupling", "identity:0", "--data", "{data}"],
+     "ValueError: coupling dimension must be >= 1"),
+    (["fit", *_TFAMILY, "--p", "inf", "--data", "{data}", "--lambda", "0.1"],
+     "ValueError: regularized fitting implemented for p in {1, 2}, got inf"),
 ], ids=["certify tolerance inf", "certify seed -1", "pursuit max-iters 0", "pursuit max-iters -5",
-        "fit lambda inf", "fit tol inf", "combination weights inf", "kernel JSON weights inf"])
+        "fit lambda inf", "fit tol inf", "combination weights inf", "kernel JSON weights inf",
+        "domain reversed", "coupling identity:0", "fit p inf"])
 def test_bad_numeric_setting_exits_1_when_read(tmp_path, capsys, argv, fragment):
     data, kernel, out = tmp_path / "train.csv", tmp_path / "kernel.json", tmp_path / "out.json"
     data.write_text("x,y1\n0.3,1.0\n0.6,0.5\n")
@@ -685,6 +706,91 @@ def test_usage_errors(tmp_path, capsys):
                 "--out", str(tmp_path / "r.json")]) == 1  # no kernel given
     err = capsys.readouterr().err
     assert "--kernel" in err
+
+
+_WENDLAND = ["--kernel", "wendland", "--coupling", "identity:1", "--data", "{data}"]
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    # argparse parses each value and names the flag
+    (["interpolate", "--kernel", "combination", "--weights", "1", "--coupling", "identity:1",
+      "--data", "{data}", "--out", "{out}"],
+     "argument --weights: expected two comma-separated reals, got '1'"),
+    (["interpolate", *_WENDLAND, "--domain", "a,b", "--out", "{out}"],
+     "argument --domain: expected comma-separated reals, got 'a,b'"),
+    (["fit", *_WENDLAND, "--lambda-grid", "0.1,x", "--path-out", "{path}"],
+     "argument --lambda-grid: expected comma-separated reals, got '0.1,x'"),
+    (["pursuit", *_WENDLAND, "--extra-centers", "0.1,x", "--out", "{out}"],
+     "argument --extra-centers: expected comma-separated reals, got '0.1,x'"),
+    (["interpolate", "--kernel", "wendland", "--kernel-json", "{kernel}", "--coupling",
+      "identity:1", "--data", "{data}", "--out", "{out}"],
+     "argument --kernel-json: not allowed with argument --kernel"),
+    # the kernel checks the family and the value ranges
+    (["interpolate", *_WENDLAND, "--p", "0.5", "--out", "{out}"],
+     "ValueError: group exponent p must satisfy p >= 1, got 0.5"),
+    (["certify", "--kernel", "nope", "--coupling", "identity:1", "--out", "{out}"],
+     "ValueError: unknown kernel family 'nope'; known families: tfamily, wendland, "
+     "exponential, combination, brownianbridge"),
+    (["interpolate", "--kernel", "combination", "--coupling", "identity:1", "--data", "{data}",
+      "--out", "{out}"],
+     "ValueError: combination requires weights (C1, C2)"),
+    (["interpolate", *_WENDLAND, "--weights", "1,1", "--out", "{out}"],
+     "ValueError: wendland takes no weights"),
+    (["certify", "--kernel", "custom", "--coupling", "identity:1", "--out", "{out}"],
+     "ValueError: custom kernels require func"),
+    # the cli checks what neither can
+    (["interpolate", "--kernel", "wendland", "--coupling", "identity:x", "--data", "{data}",
+      "--out", "{out}"],
+     "--coupling identity:N needs an integer N, got 'identity:x'"),
+    (["certify", "--kernel", "wendland", "--out", "{out}"],
+     "--coupling is required (identity:N or a CSV path)"),
+    (["fit", *_WENDLAND, "--out", "{out}"], "fit requires --lambda and/or --lambda-grid"),
+    (["fit", *_WENDLAND, "--lambda-grid", "0.1", "--out", "{out}"],
+     "--lambda-grid requires --path-out"),
+    (["fit", *_WENDLAND, "--lambda", "0.1", "--lambda-grid", "0.1", "--path-out", "{path}"],
+     "--lambda requires --out"),
+], ids=["weights one real", "domain not reals", "lambda-grid not reals", "extra-centers not reals",
+        "kernel and kernel-json", "p below 1", "unknown family", "combination without weights",
+        "wendland with weights", "custom without func", "coupling identity:x",
+        "coupling missing", "fit without lambda", "lambda-grid without path-out",
+        "lambda without out"])
+def test_rejected_flag_exits_1_writing_nothing(tmp_path, capsys, argv, fragment):
+    data, kernel = tmp_path / "train.csv", tmp_path / "kernel.json"
+    data.write_text("x,y1\n0.3,1.0\n0.6,0.5\n")
+    kernel.write_text(json.dumps(_KERNEL))
+    argv = [a.format(data=data, kernel=kernel, out=tmp_path / "out.json",
+                     path=tmp_path / "path.csv") for a in argv]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.splitlines()[0] == f"error: {fragment}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kernel.json", "train.csv"]
+
+
+def test_p_inf_interpolates_predicts_and_certifies(tmp_path):
+    train, pts = tmp_path / "train.csv", tmp_path / "pts.csv"
+    train.write_text("x,y1,y2\n0.2,1.0,0.0\n0.5,0.3,-0.2\n0.8,0.5,1.0\n")
+    pts.write_text("x\n0.3\n")
+    kernel = ["--kernel", "wendland", "--p", "inf", "--coupling", "identity:2"]
+    model, preds, report = tmp_path / "model.json", tmp_path / "preds.csv", tmp_path / "r.json"
+    assert run(["interpolate", *kernel, "--data", str(train), "--out", str(model)]) == 0
+    assert run(["predict", "--model", str(model), "--points", str(pts), "--out", str(preds)]) == 0
+    assert run(["certify", *kernel, "--max-centers", "2", "--trials", "5",
+                "--out", str(report)]) == 0
+    data = json.loads(model.read_text())
+    assert data["p"] == data["kernel"]["p"] == "inf"
+    assert json.loads(report.read_text())["kernel"]["p"] == "inf"
+    assert len(preds.read_text().splitlines()) == 2
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    # the rename onto a directory fails after the temp file is written
+    train, out = tmp_path / "train.csv", tmp_path / "out"
+    train.write_text("x,y1\n0.3,1.0\n0.6,0.5\n")
+    out.mkdir()
+    assert run(["interpolate", "--kernel", "wendland", "--coupling", "identity:1",
+                "--data", str(train), "--out", str(out)]) == 1
+    assert "IsADirectoryError" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "train.csv"]
+    assert list(out.iterdir()) == []
 
 
 def test_math_failure_exit_code(tmp_path, capsys):
