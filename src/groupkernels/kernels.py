@@ -300,9 +300,16 @@ def validate_centers(spec: ScalarKernelSpec, centers) -> np.ndarray:
     arr = np.atleast_1d(arr)
     if arr.size == 0:
         raise ShapeError("at least one center is required")
-    if np.unique(arr).size != arr.size:
+    if not distinct(arr):
         raise DuplicateCenterError("centers must be pairwise distinct")
     return arr
+
+
+def distinct(values: np.ndarray) -> bool:
+    """Whether the entries of a 1-d array are pairwise distinct, by sorting
+    (np.unique loads numpy.ma on its first call)."""
+    ordered = np.sort(values)
+    return not bool((ordered[1:] == ordered[:-1]).any())
 
 
 @dataclass(frozen=True)

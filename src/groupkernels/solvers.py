@@ -39,6 +39,7 @@ from .gridsearch import vdc_points
 from .kernels import (
     OperatorKernel,
     conjugate_exponent,
+    distinct,
     json_array,
     json_field,
     json_number,
@@ -68,6 +69,11 @@ _RHO_MIN, _RHO_MAX = 1e-8, 1e8
 _BALANCE_PERIOD = 50
 _BALANCE_FREEZE = 1000
 _EPS = float(np.finfo(float).eps)
+# every KKT violator enters the working set while the Newton system stays
+# at most this many unknowns: below it a dense solve costs less than the
+# Python overhead of a step, while each extra round reruns a barrier path
+# of about 50 steps
+SMALL_SYSTEM = 128
 
 
 @dataclass(frozen=True)
@@ -266,7 +272,10 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     spec = kernel.scalar
     cen = validate_centers(spec, centers)
     cons = validate_centers(spec, constraints_x)
-    if not np.all(np.isin(cons, cen)):
+    # the center of each constraint, by binary search (np.isin loads numpy.ma)
+    order = np.argsort(cen)
+    at = order[np.searchsorted(cen, cons, sorter=order).clip(max=cen.size - 1)]
+    if not np.all(cen[at] == cons):
         raise ShapeError("constraints_x must be a subset of centers")
     m, big_m, n = cons.size, cen.size, kernel.coupling.n
     if y.m != m or y.n != n:
@@ -293,7 +302,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         c_s = np.linalg.solve(g_s, y_t)
         d = np.abs(c_s) if p == 1.0 else block_norms(c_s, 2.0)[:, None]
         v = np.divide(c_s, d, out=np.zeros_like(c_s), where=d > 0)
-        z[np.nonzero(cons[:, None] == cen)[1]] = c_s
+        z[at] = c_s
         u = g_c.T @ np.linalg.solve(g_s.T, v)
     (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
                                    [z], [u], max_iters, PURSUIT_TOL, "basis pursuit")
@@ -435,23 +444,29 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
     steps = 0
     while steps < budget:
         if weights is None:
-            hess = curvature.copy()
+            hess = system = curvature.copy()
         else:
             # residuals near their kink weigh up to 1 / (2 mu), the others
             # down to mu / r^2: folded into J^T diag(weights) J the former
             # would round away the small curvature along a face of optimal
             # points, so they stay apart, with z_k = weights_k J_k step, in
-            # the augmented system [[H, J_k^T], [J_k, -diag(1 / weights_k)]]
+            # the augmented system [[H, J_k^T], [J_k, -diag(1 / weights_k)]],
+            # assembled in place around its leading block H
             w = weights.ravel()
             kink = w > math.sqrt(w.max() * w.min())
-            hess = curvature[~kink].T @ (w[~kink, None] * curvature[~kink])
+            system = np.zeros((c.size + int(kink.sum()),) * 2)
+            hess = system[:c.size, :c.size]
+            np.matmul(curvature[~kink].T, w[~kink, None] * curvature[~kink], out=hess)
+            system[c.size:, :c.size] = curvature[kink]
+            system[:c.size, c.size:] = curvature[kink].T
+            np.fill_diagonal(system[c.size:, c.size:], -1.0 / w[kink])
         hess.reshape(k, d, k, d)[diag, :, diag, :] += blocks
         g = grad.ravel()[free]
-        system, rhs = hess[np.ix_(free, free)], -g
-        if weights is not None:
-            j_k = curvature[kink][:, free]
-            system = np.block([[system, j_k.T], [j_k, -np.diag(1.0 / w[kink])]])
-            rhs = np.concatenate([rhs, np.zeros(j_k.shape[0])])
+        if not free.all():
+            rows = np.r_[free, np.ones(system.shape[0] - c.size, dtype=bool)]
+            system = system[np.ix_(rows, rows)]
+        rhs = np.zeros(system.shape[0])
+        rhs[:g.size] = -g
         try:
             sol = np.linalg.solve(system, rhs)
         except np.linalg.LinAlgError:
@@ -508,9 +523,7 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
     barrier no longer changes the objective and rounding bounds the gap.
     """
     d = c.shape[1] if p == 2.0 else 1
-    gap, obj, u, bound = _certificate(x, a, y, c, lam, p, target, loss, theta)
-    if gap <= bound < math.inf:
-        return c, 0, True, theta
+    gap, obj, u, _ = _certificate(x, a, y, c, lam, p, target, loss, theta)
     cones = c.size // d
     if loss == "squared":
         xtx = x.T @ x
@@ -546,18 +559,23 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
     return best, steps, False, best_theta
 
 
-def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol):
+def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
     """Fit by working sets: certify C; keep the nonzero blocks of W and add
-    the worst KKT violators, blocks outside it with ||U_i||_q > lam, at
-    most max(16, |W|) per round; solve the fit restricted to W
-    (_restricted_fit); repeat until the certificate holds at
-    max(tol, 64 eps) max(1, P), or at the certificate's own rounding floor
-    (_certificate) when that is larger.  The absolute loss's dual
+    KKT violators, blocks outside it with ||U_i||_q > lam: all of them while
+    W and they give at most SMALL_SYSTEM unknowns, else those whose
+    ||U_i||_q peaks locally along the sites in the given order (increasing
+    x; the largest violator always does, and a peak's block may satisfy
+    its neighbours), largest first, at most max(16, |W|); solve the fit
+    restricted to W (_restricted_fit); repeat until the certificate holds
+    at max(tol, 64 eps) max(1, P), or at the certificate's own rounding
+    floor (_certificate) when that is larger.  The absolute loss's dual
     point starts at sign(Y); the squared loss's is always the residual.
-    Raises NonconvergenceError once max_iters Newton steps are spent, or
-    when the restricted fit stopped uncertified or made no step and no
-    violator outside its working set is left to add: blocks it left at
-    zero drop out of W and would re-enter, and the round would repeat.
+    Raises NonconvergenceError once max_iters Newton steps are spent; when
+    no violator is left outside W (W certified, but the full certificate,
+    its products rounded apart, did not); or when the restricted fit
+    stopped uncertified or made no step and every violator was in its W:
+    blocks it left at zero drop out of W and would re-enter, and the round
+    would repeat.
     Returns (C, Newton steps, objective, gap).
     """
     target = max(tol, 64.0 * _EPS)
@@ -565,7 +583,7 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol):
     theta = np.sign(y)
     c = np.zeros_like(y)
     work = np.zeros(0, dtype=int)
-    sub_target, steps, progressed, last = target, 0, True, work
+    steps, progressed, last = 0, True, None
     while True:
         gap, obj, u, bound = _certificate(g, a, y, c, lam, p, target, loss, theta)
         if gap <= bound < math.inf:
@@ -573,22 +591,24 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol):
         work = work[np.abs(c[work]).max(axis=1) > 0.0]
         viol = block_norms(u, q)
         viol[work] = 0.0
-        out = np.flatnonzero(viol > lam)
-        enter = out[np.argsort(-viol[out], kind="stable")][:max(16, work.size)]
-        if steps >= max_iters or (not progressed and np.isin(enter, last).all()):
+        enter = np.flatnonzero(viol > lam)
+        if (work.size + enter.size) * y.shape[1] > SMALL_SYSTEM:
+            along = viol[order]
+            peak = (along > lam) & (along >= np.r_[0.0, along[:-1]])
+            enter = order[peak & (along >= np.r_[along[1:], 0.0])]
+            enter = enter[np.argsort(-viol[enter], kind="stable")][:max(16, work.size)]
+        if steps >= max_iters or enter.size == 0 or (not progressed and last[enter].all()):
             raise NonconvergenceError(
                 f"newton gap {gap:.3e} above tolerance {bound:.3e} "
                 f"after {steps} steps",
                 iterations=steps,
                 residuals=(gap,),
             )
-        if enter.size == 0:
-            # the working-set certificate held but the full one did not, by
-            # rounding between the two products: certify tighter
-            sub_target *= 0.25
-        work = last = np.concatenate([work, enter])
+        work = np.concatenate([work, enter])
+        last = np.zeros(y.shape[0], dtype=bool)
+        last[work] = True
         c_work, used, certified, theta = _restricted_fit(
-            g[:, work], a, y, c[work], lam, p, loss, theta, sub_target, max_iters - steps)
+            g[:, work], a, y, c[work], lam, p, loss, theta, target, max_iters - steps)
         progressed = certified and used > 0
         steps += used
         c = np.zeros_like(y)
@@ -602,7 +622,7 @@ def _prox_loss(w, y, rho, loss):
 
 
 def _design(kernel: OperatorKernel, x, y: BlockVector):
-    """Scalar Gram G at the sites and the coupling A of a regularized fit,
+    """Sites x, their scalar Gram G and the coupling A of a regularized fit,
     after checking p, the sites and the shape of y (no fit solves with G)."""
     if kernel.p not in (1.0, 2.0):
         raise ValueError(f"regularized fitting implemented for p in {{1, 2}}, got {kernel.p}")
@@ -610,7 +630,7 @@ def _design(kernel: OperatorKernel, x, y: BlockVector):
     g, a = scalar_values(kernel.scalar, x[:, None], x[None, :]), kernel.coupling.A
     if y.m != g.shape[0] or y.n != a.shape[0]:
         raise ShapeError(f"expected {g.shape[0]} blocks of dimension {a.shape[0]}")
-    return g, a
+    return x, g, a
 
 
 def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> FitModel:
@@ -625,7 +645,7 @@ def fit_admm(kernel: OperatorKernel, x, y: BlockVector, cfg: LearnConfig) -> Fit
     residuals; meta.gap records the duality gap (_certificate) of the
     result.
     """
-    g, a = _design(kernel, x, y)
+    x, g, a = _design(kernel, x, y)
     y_b = y.blocks
     d_g, q_g = np.linalg.eigh(g)
     e_a, q_a = np.linalg.eigh(a)
@@ -669,9 +689,9 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
     max_iters Newton steps.  meta.iterations counts those steps and
     meta.gap is the gap as computed.
     """
-    g, a = _design(kernel, x, y)
+    x, g, a = _design(kernel, x, y)
     c, steps, obj, gap = _working_set_fit(g, a, y.blocks, cfg.lam, kernel.p, cfg.loss,
-                                          cfg.max_iters, cfg.tol)
+                                          cfg.max_iters, cfg.tol, np.argsort(x))
     meta = {
         "solver": "working-set-newton",
         "loss": cfg.loss,
@@ -743,7 +763,7 @@ def model_from_dict(data: dict) -> FitModel:
             f"model center {i + 1} ({float(centers[i])!r}) is not a finite point of the "
             f"open domain ({lo}, {hi})"
         )
-    if np.unique(centers).size != centers.size:
+    if not distinct(centers):
         raise DataFormatError("model centers must be pairwise distinct")
     if not np.all(np.isfinite(blocks)):
         raise DataFormatError("model coefficients must be finite")
