@@ -8,14 +8,13 @@ random center sets, batched per set size: one stacked Gram, eigvalsh and
 solve per block of the sets of a size, every Gram held to the
 singularity rule by blocklinalg.gram_stack.  The sets are drawn by rank
 shift from a counter hash of (seed, size, index), with no rejection and
-no size ceiling (see _center_stacks).  For the builtin families the
-supremum over queries of each set is exact (see _breakpoint_sup); custom
-kernels get a nested query grid with golden-section refinement, in
-lockstep over the sets.  a3 (independence of infinite expansions) cannot
-be falsified by finite computation; for product kernels with a strictly
-positive definite scalar factor it is reported as implied by that
-structure.  The a1 and a4 evidence is not proof: every report records
-the probe budget so a "pass" claim is scoped to it.
+no size ceiling (see _center_stacks).  kernels.sup_probes gives the
+probes of each set's supremum over queries: exact for the builtin
+families (see _breakpoint_sup), a nested grid with golden-section
+refinement, in lockstep over the sets, for custom kernels.  a3 cannot be
+falsified by finite computation; for the builtin families the kernels
+module docstring proves it.  The a1 and a4 evidence is not proof: every
+report records the probe budget so a "pass" claim is scoped to it.
 """
 
 from __future__ import annotations
@@ -31,16 +30,15 @@ from .blocklinalg import coupling_opnorm, gram_assemble, gram_stack
 from .errors import DomainError, DuplicateCenterError, OrderError, ShapeError, SingularError
 from .gridsearch import refine_max_rows, vdc_points
 from .kernels import (
-    BUILTIN_FAMILIES,
     OperatorKernel,
     kernel_to_dict,
     require_in_domain,
     scalar_uniform_bound,
     scalar_values,
+    sup_probes,
 )
 
 REFINE_ITERS = 30
-MAX_ATTEMPTS = 1000  # draws of a center set before sample_centers gives up
 PROBE_CHUNK = 1 << 14  # float64 values per probe temporary (128 KiB): rows per block
 
 
@@ -147,19 +145,6 @@ def _require_bounded(kernel: OperatorKernel) -> tuple[float, float]:
     return lo, hi
 
 
-def sample_centers(lo: float, hi: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """m sorted centers drawn uniformly from (lo, hi) with a minimum
-    separation of (hi - lo)/(10 m) to avoid spurious near-duplicates: the
-    first of at most MAX_ATTEMPTS draws of m uniforms from rng that passes."""
-    min_sep = (hi - lo) / (10.0 * m)
-    for _ in range(MAX_ATTEMPTS):
-        pts = np.sort(rng.uniform(lo, hi, m))
-        if pts[0] > lo and pts[-1] < hi and np.diff(pts).min(initial=math.inf) >= min_sep:
-            return pts
-    raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} "
-                     f"in {MAX_ATTEMPTS} draws")
-
-
 _M64 = (1 << 64) - 1
 
 
@@ -191,9 +176,9 @@ def _center_stacks(kernel: OperatorKernel, cfg: CertificationConfig):
 
     Set k is m sorted uniforms on (lo, hi - (m - 1) sep), shifted by their
     rank times sep = (hi - lo)/(10 m): the uniform law on the sorted sets
-    with gaps of at least sep, which sample_centers draws by rejection, from
-    exactly m values.  These are values k m .. k m + m - 1 of the key-m
-    _uniform stream, so set k depends on (seed, m, k) alone."""
+    with gaps of at least sep (the law of rejection sampling at that
+    separation), from exactly m values.  These are values k m .. k m + m - 1
+    of the key-m _uniform stream, so set k depends on (seed, m, k) alone."""
     lo, hi = _require_bounded(kernel)
     for m in range(1, cfg.max_centers + 1):
         sep = (hi - lo) / (10.0 * m)
@@ -234,32 +219,14 @@ def lebesgue_at(kernel: OperatorKernel, centers, query: float) -> float:
 
 def _breakpoint_sup(kernel: OperatorKernel, ends: np.ndarray, X: np.ndarray, G: np.ndarray):
     """Exact per-set supremum of the stability value for the builtin
-    families.  Returns (worst, query) per set, worst computed at query.
-
-    With lo < x_1 < ... < x_m < hi, Lambda(q) = sum_i |b_i(q)| is convex
-    on every segment between consecutive breakpoints lo, x_1, ..., x_m, hi:
-
-    * tfamily (brownianbridge is t = 1), wendland and combination live on
-      a subinterval of (0, 1), so |q - x_i| < 1 and each
-      G(q, x_i) = min(q, x_i) - t*q*x_i or 1 - |q - x_i| is affine in q on
-      a segment.  Then b(q) = G[x]^{-1} G_x(q) is affine there and Lambda
-      is a sum of absolute values of affine functions.
-    * exponential: exp(-|x - y|) is the covariance of a Markov process, so
-      b has at most two nonzeros, the neighbours of q (Rybicki & Press,
-      PRL 74:1060, 1995).  On a gap of width h at offset a from its left
-      center, b_i = sinh(h - a)/sinh h and b_{i+1} = sinh a/sinh h, so
-      Lambda = (sinh a + sinh(h - a))/sinh h = cosh(a - h/2)/cosh(h/2).
-      Below x_1 or above x_m, b = exp(-d) e_1 or exp(-d) e_m, with d the
-      distance to the nearest center, and Lambda = exp(-d).
-
-    A convex function on a segment attains its supremum at an end of it,
-    and at a center b = e_i, so Lambda = 1 exactly.  Hence
-    sup_q Lambda = max(1, Lambda(lo+), Lambda(hi-)).  b extends
-    continuously to the domain endpoints, so the two one-sided limits are
-    evaluated at the nearest floats inside the domain.  The witness is
-    that float, or the first center when neither limit exceeds 1, and
-    lebesgue_at reproduces the reported value: like it, each end gets a
-    one-column solve (LAPACK may round a two-column solve differently).
+    families, (worst, query) per set with worst computed at query.
+    Lambda is convex between breakpoints (kernels.sup_probes) and exactly
+    1 at a center (b = e_i), so sup_q Lambda = max(1, Lambda(lo+),
+    Lambda(hi-)), the one-sided limits taken at ends, the nearest floats
+    inside the domain.  The witness is that float, or the first center
+    when neither value exceeds 1.  Like lebesgue_at, each end gets a
+    one-column solve (LAPACK may round a two-column solve differently),
+    so lebesgue_at reproduces the reported value.
     """
     vals = _stability_values(kernel, X, G, ends[:, None, None])[..., 0].T
     k = vals.argmax(axis=1)
@@ -288,14 +255,13 @@ def _grid_sup(kernel: OperatorKernel, probes: np.ndarray, X: np.ndarray, G: np.n
 
 def _set_sup(kernel: OperatorKernel, cfg: CertificationConfig):
     """The scan method for this kernel and its per-set supremum as a
-    function (X, G) -> (worst, query), one entry per center set."""
-    lo, hi = _require_bounded(kernel)
-    # the floats nearest the domain endpoints, inside the open domain
-    ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])
-    if kernel.scalar.family in BUILTIN_FAMILIES:
-        return "breakpoint-exact", partial(_breakpoint_sup, kernel, ends)
-    probes = np.sort(np.concatenate([vdc_points(lo, hi, cfg.grid_size), ends]))
-    return "grid-golden", partial(_grid_sup, kernel, probes)
+    function (X, G) -> (worst, query), one entry per center set; no
+    center is probed, since Lambda is exactly 1 there."""
+    _require_bounded(kernel)
+    probes, exact = sup_probes(kernel.scalar, (), cfg.grid_size)
+    if exact:
+        return "breakpoint-exact", partial(_breakpoint_sup, kernel, probes)
+    return "grid-golden", partial(_grid_sup, kernel, np.sort(probes))
 
 
 def _scan_sets(kernel: OperatorKernel, cfg: CertificationConfig) -> ScanResult:
@@ -384,8 +350,8 @@ def certify(kernel: OperatorKernel, cfg: CertificationConfig) -> CertificationRe
     verdict = {
         "a1": "pass" if not scan.singular else "fail",
         "a2": "pass" if a2_ok else "fail",
-        # implied by the product structure with a strictly positive
-        # definite scalar factor; not directly testable by finite sampling
+        # implied for the builtin families by the Green's-function lemma
+        # (kernels module docstring); not directly testable by finite sampling
         "a3": "not-directly-testable" if bound is None else "implied",
         "a4": "pass" if a4_ok else "fail",
         "overall": "pass" if (not scan.singular and a2_ok and a4_ok) else "fail",

@@ -6,6 +6,17 @@ bounded on their domains), plus ``brownianbridge``, which parses to
 ``tfamily`` with t = 1; a ``custom`` family wraps an arbitrary symmetric
 callable for diagnostics.  Kernel objects are immutable and evaluation
 is pure, so they are safe to share across threads.
+
+Each builtin family is the Green's function of a second-order operator
+on its interval: d^2/dy^2 G(x, .) = -delta_x for tfamily, -2 delta_x for
+wendland on (0, 1), -(c1 + 2 c2) delta_x for combination, and
+(1 - d^2/dy^2) e^-|x - y| = 2 delta_x for exponential.  This gives a3
+(independence of infinite expansions): if sum_j G(x_j, .) A c_j = 0 with
+sum_j ||c_j|| < inf and distinct x_j, the sum converges uniformly (G is
+bounded), so the operator maps it to the finite measure
+sum_j delta_{x_j} A c_j = 0 times the family's constant, and every c_j
+is 0 as A is invertible (Stakgold & Holst, Green's Functions and
+Boundary Value Problems, 2011).
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataFormatError, DomainError, DuplicateCenterError, ShapeError
+from .gridsearch import vdc_points
 
 BUILTIN_FAMILIES = ("tfamily", "wendland", "exponential", "combination")
 
@@ -173,6 +185,37 @@ def scalar_uniform_bound(spec: ScalarKernelSpec) -> float | None:
             return c1 * diag + c2
         return diag
     return None
+
+
+def sup_probes(spec: ScalarKernelSpec, centers, grid_size: int) -> tuple[np.ndarray, bool]:
+    """(probes, exact): where the sup over the domain of the norm of an
+    expansion at these centers sits, and whether the maximum over the
+    probes is that sup.  The probes are the centers, the floats nearest
+    each finite domain end inside the domain (lo's end first), and for a
+    custom kernel grid_size nested grid points, clipped to the center
+    hull on an infinite side: a sampled lower bound.
+
+    The breakpoint lemma makes the builtin probes exact.  Between
+    consecutive breakpoints (centers and domain ends) each component f
+    of the expansion is affine for tfamily, wendland and combination
+    (on a subinterval of (0, 1), |y - x_j| < 1, so min{y, x_j} - t y x_j
+    and 1 - |y - x_j| bend only at x_j), and a e^y + b e^-y for
+    exponential, where f'' = f makes f convex where positive and -f
+    where negative.  So |f| is convex there, and so is any l^q norm of
+    such values; a convex function on a segment peaks at an end.  Beyond
+    the center hull an exponential expansion decays as e^-|y - x|, x the
+    nearest center, so an infinite side needs no probe.  Lambda(q) =
+    sum_i |b_i(q)| with G[x] b(q) = G_x(q) is such a norm: each b_i is an
+    expansion at the centers (row i of G[x]^-1 against G_x(q))."""
+    centers = np.asarray(centers, dtype=float)
+    domain = np.array(spec.domain)
+    ends = np.nextafter(domain, domain[::-1])[np.isfinite(domain)]
+    if spec.family in BUILTIN_FAMILIES:
+        return np.concatenate([centers, ends]), True
+    lo, hi = spec.domain
+    lo = lo if math.isfinite(lo) else centers.min()
+    hi = hi if math.isfinite(hi) else centers.max()
+    return np.concatenate([centers, ends, vdc_points(lo, hi, grid_size)]), False
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .errors import (
     ShapeError,
     SingularError,
 )
-from .gridsearch import vdc_points
 from .kernels import (
     OperatorKernel,
     conjugate_exponent,
@@ -50,6 +49,7 @@ from .kernels import (
     read_csv_rows,
     require_in_domain,
     scalar_values,
+    sup_probes,
     validate_centers,
 )
 
@@ -705,21 +705,11 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
 
 def expansion_sup_norm(model: FitModel, grid_size: int) -> float:
     """sup_y ||sum_j G(y, x_j) A c_j||_q as the largest norm of predict_many
-    at the centers, the floats nearest each finite domain end inside it and
-    grid_size nested grid points, clipped to the center hull on an infinite
-    side.  Exact for the builtin families: between breakpoints (domain ends
-    and centers) each component is affine for tfamily, wendland and
-    combination (on a subinterval of (0, 1)) and a e^y + b e^-y for
-    exponential, so its absolute value, and any l^q norm of those, is
-    convex and peaks at a breakpoint; beyond the center hull the exponential
-    expansion decays.  A sampled lower bound for a custom kernel."""
+    at kernels.sup_probes: exact for the builtin families, a sampled lower
+    bound over grid_size more grid points for a custom kernel."""
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    domain = np.array(model.kernel.scalar.domain)
-    finite = np.isfinite(domain)
-    lo, hi = np.where(finite, domain, [model.centers.min(), model.centers.max()])
-    ends = np.nextafter(domain, domain[::-1])[finite]
-    probes = np.concatenate([model.centers, ends, vdc_points(lo, hi, grid_size)])
+    probes, _ = sup_probes(model.kernel.scalar, model.centers, grid_size)
     return float(block_norms(predict_many(model, probes), model.kernel.q).max())
 
 

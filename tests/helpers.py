@@ -4,11 +4,28 @@ The dense Kronecker expansion lives here (and only here) as an oracle for
 the factored solves; the library itself never materializes it.
 """
 
+import math
+
 import numpy as np
 
 import groupkernels as gk
-from groupkernels.admissibility import sample_centers
 from groupkernels.blocklinalg import BlockVector, block_norms
+
+
+MAX_ATTEMPTS = 1000  # draws of a center set before sample_centers gives up
+
+
+def sample_centers(lo, hi, m, rng):
+    """m sorted centers drawn uniformly from (lo, hi) with a minimum
+    separation of (hi - lo)/(10 m) to avoid spurious near-duplicates: the
+    first of at most MAX_ATTEMPTS draws of m uniforms from rng that passes."""
+    min_sep = (hi - lo) / (10.0 * m)
+    for _ in range(MAX_ATTEMPTS):
+        pts = np.sort(rng.uniform(lo, hi, m))
+        if pts[0] > lo and pts[-1] < hi and np.diff(pts).min(initial=math.inf) >= min_sep:
+            return pts
+    raise ValueError(f"no {m} centers in ({lo}, {hi}) at separation {min_sep!r} "
+                     f"in {MAX_ATTEMPTS} draws")
 
 
 def mix64(z):

@@ -27,7 +27,6 @@ from groupkernels.admissibility import (
     det_tfamily_closed_form,
     lebesgue_at,
     lebesgue_scan,
-    sample_centers,
     scan_report_dict,
 )
 from groupkernels.blocklinalg import (
@@ -49,7 +48,7 @@ from groupkernels.solvers import (
     predict_many,
 )
 
-from helpers import ADMISSIBLE_SPECS, random_coupling, random_sites
+from helpers import ADMISSIBLE_SPECS, random_coupling, random_sites, sample_centers
 from test_solvers import prox_bruteforce, threshold_lambda
 
 

@@ -23,7 +23,6 @@ from groupkernels.admissibility import (
     det_tfamily_closed_form,
     lebesgue_at,
     lebesgue_scan,
-    sample_centers,
     scan_report_dict,
     scan_rows_csv,
 )
@@ -31,7 +30,14 @@ from groupkernels.blocklinalg import gram_assemble, gram_stack
 from groupkernels.errors import DomainError, OrderError, ShapeError, SingularError
 from groupkernels.kernels import scalar_uniform_bound
 
-from helpers import column_norm_sampled, hash_uniform, random_coupling, splitmix64, trial_centers
+from helpers import (
+    column_norm_sampled,
+    hash_uniform,
+    random_coupling,
+    sample_centers,
+    splitmix64,
+    trial_centers,
+)
 
 BRIDGE = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.identity(1), p=2)
 SMALL = CertificationConfig(max_centers=3, grid_size=128, trials=20, seed=7)

@@ -830,6 +830,45 @@ def test_expansion_sup_norm_is_exact_at_the_breakpoints(spec):
                 assert sup <= at_breaks.max() * (1.0 + 1e-12)
 
 
+BUILTIN_SPECS = [*ADMISSIBLE_SPECS, ("tfamily t=-1", gk.tfamily(-1.0)),
+                 ("exponential on R", gk.exponential())]
+
+
+@pytest.mark.parametrize("spec", [s for _, s in BUILTIN_SPECS], ids=[i for i, _ in BUILTIN_SPECS])
+def test_builtin_sup_norm_evaluates_no_grid(spec, monkeypatch):
+    """By the breakpoint lemma a builtin sup needs only the centers and the
+    inward domain ends, so no module may build a query grid."""
+    def no_grid(*args):
+        raise AssertionError("vdc_points called for a builtin family")
+
+    for module in (gk.gridsearch, gk.kernels, gk.solvers):
+        monkeypatch.setattr(module, "vdc_points", no_grid, raising=False)
+    rng = np.random.default_rng(74)
+    K = gk.OperatorKernel(spec, random_coupling(2, rng), p=2)
+    lo, hi = spec.domain
+    if math.isfinite(lo):
+        centers = rng.permutation(random_sites(K, 5, rng))
+    else:
+        centers = np.array([-3.0, 0.5, 2.0, 7.0, 1.0])
+    model = min_norm_interpolant(K, centers, BlockVector(rng.standard_normal((5, 2)), 2))
+    ends = np.array([np.nextafter(lo, hi), np.nextafter(hi, lo)])[np.isfinite([lo, hi])]
+    probes = np.concatenate([centers, ends])
+    assert expansion_sup_norm(model, 1024) == block_norms(predict_many(model, probes), K.q).max()
+
+
+def test_custom_sup_norm_samples_centers_ends_and_grid():
+    """A custom kernel's sup is the sampled maximum over its centers, the
+    floats nearest the domain ends inside it and grid_size nested points."""
+    spec = gk.custom(lambda x, y: np.exp(-((x - y) ** 2) / 0.02), domain=(-1.0, 2.0))
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=1)
+    rng = np.random.default_rng(75)
+    centers = np.array([0.7, -0.4, 1.3, 0.1])
+    model = gk.FitModel(K, centers, BlockVector(rng.standard_normal((4, 2)), 1), 1.0)
+    probes = np.concatenate([centers, [np.nextafter(-1.0, 2.0), np.nextafter(2.0, -1.0)],
+                             gk.gridsearch.vdc_points(-1.0, 2.0, 300)])
+    assert expansion_sup_norm(model, 300) == block_norms(predict_many(model, probes), K.q).max()
+
+
 @pytest.mark.parametrize("spec,bound", [
     (gk.exponential(), lambda m, grid: 40 * 8 * 2 * (m + grid)),
     (gk.wendland(), lambda m, grid: 4 * 8 * PREDICT_CHUNK * m),
