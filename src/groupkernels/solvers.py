@@ -53,10 +53,10 @@ from .kernels import (
     validate_centers,
 )
 
-PURSUIT_TOL = 1e-9  # primal/dual residual stop for basis pursuit
-# the certificate's rounding floor relaxes a tighter tol at most to this
-# relative gap, the default tol, so a badly scaled fit exits 2 instead
-FLOOR_MAX = 1e-10
+PURSUIT_TOL = 1e-9  # relative residual stop for basis pursuit (_admm)
+# a tol below the default may relax to the certificate's rounding floor, at
+# most FLOOR_MAX P: a float64 C at lam -> 0 reaches 1.6e-10 P and no better
+DEFAULT_TOL, FLOOR_MAX = 1e-10, 1e-9
 # min_norm_interpolant raises SingularError past either limit
 INTERP_RESIDUAL_RTOL = 1e-8
 INTERP_COND_MAX = 1e12
@@ -80,14 +80,14 @@ SMALL_SYSTEM = 128
 class LearnConfig:
     """Regularized learning parameters (penalty weight applied to the
     grouped coefficient norm; loss is squared or absolute).  For
-    fit_regularized, with either loss, tol is the relative duality gap the
-    fit must certify and max_iters caps its Newton steps; for the fit_admm
-    oracle they are the residual tolerance and the iteration budget."""
+    fit_regularized, with either loss, tol is the duality gap per unit
+    objective to certify and max_iters caps its Newton steps; for the
+    fit_admm oracle they are the residual tolerance and iteration budget."""
 
     lam: float
     loss: str = "squared"
     max_iters: int = 100_000
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if not 0 < self.lam < math.inf:
@@ -123,13 +123,13 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
 
     Markov kernels (markov_gaps: exponential, tfamily, brownianbridge)
     use the closed-form tridiagonal precision in O(m n); the others
-    solve with the dense Gram.  Either way the fit is checked: a relative
-    residual max|G C A - Y| / max(1, max|Y|) above INTERP_RESIDUAL_RTOL,
-    or a condition number of G (meta.cond) above INTERP_COND_MAX, raises
-    SingularError: gram_assemble's exact 2-norm one, or markov_cond's exact
-    1-norm one, which is never smaller for a symmetric G.  When the kernel
-    passes the stability certification this expansion is the minimal
-    grouped-norm interpolant among all expansions anywhere.
+    solve with the dense Gram.  Either way the fit is checked: a residual
+    max|G C A - Y| above INTERP_RESIDUAL_RTOL max|Y|, or a condition number
+    of G (meta.cond) above INTERP_COND_MAX, raises SingularError:
+    gram_assemble's exact 2-norm one, or markov_cond's exact 1-norm one,
+    which is never smaller for a symmetric G.  When the kernel passes the
+    stability certification this expansion is the minimal grouped-norm
+    interpolant among all expansions anywhere.
     """
     spec, coupling = kernel.scalar, kernel.coupling
     x = validate_centers(spec, x)
@@ -146,10 +146,10 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
         fitted = markov_eval(spec, gaps, coeffs @ coupling.A, x)
         cond, solver = markov_cond(spec, gaps), "markov-precision"
     resid = float(np.abs(fitted - y.blocks).max())
-    scale = max(1.0, float(np.abs(y.blocks).max()))
+    scale = float(np.abs(y.blocks).max())
     if not (resid <= INTERP_RESIDUAL_RTOL * scale and cond <= INTERP_COND_MAX):
         raise SingularError(
-            f"interpolation unreliable: relative residual {resid / scale:.3e} "
+            f"interpolation unreliable: residual {resid:.3e} of max|Y| {scale:.3e} "
             f"(limit {INTERP_RESIDUAL_RTOL:.0e}), condition number {cond:.3e} "
             f"(limit {INTERP_COND_MAX:.0e})"
         )
@@ -207,23 +207,24 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     return blocks * np.maximum(1.0 - ratio, 0.0)[:, None]
 
 
-def _admm(project, proxes, z, u, max_iters, tol, what):
+def _admm(project, proxes, z, u, max_iters, tol, what, rho0=1.0):
     """Scaled ADMM for a sum of separable terms over an affine set, split
     as x = z with x confined to the set and block z_i carrying term i,
     from the start lists z and u of arrays (u is updated in place):
 
         x = project(z - u),  z_i = prox_i(x_i + u_i, rho),  u += x - z.
 
-    Stops when the primal residual ||x - z|| and the dual residual
-    rho ||z - z_prev||, each over all blocks, both fall to tol.  Residual
-    balancing (Boyd et al. 2011, sec. 3.4.1) doubles or halves rho, and
-    rescales the scaled dual, whenever one residual exceeds ten times the
-    other, every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE; rho
-    starts at 1.
+    rho starts at rho0, one over the size of the data x fits; it stops once
+    rho0 ||x - z|| (the primal residual relative to that size) and
+    rho ||z - z_prev|| (the dual residual, which has no units), each over
+    all blocks, are at most tol.  Residual balancing (Boyd et al. 2011,
+    sec. 3.4.1) doubles or halves rho within [_RHO_MIN, _RHO_MAX] rho0, and
+    rescales the scaled dual, whenever one exceeds ten times the other,
+    every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE.
     Returns (x, u, iterations, primal residual, dual residual, rho); rho u_i
     is the dual estimate of block i's term.
     """
-    rho, r, s = 1.0, math.inf, math.inf
+    rho, r, s = rho0, math.inf, math.inf
     for it in range(1, max_iters + 1):
         x = project(*[zi - ui for zi, ui in zip(z, u)])
         z_new = [prox(xi + ui, rho) for prox, xi, ui in zip(proxes, x, u)]
@@ -233,12 +234,12 @@ def _admm(project, proxes, z, u, max_iters, tol, what):
             ui += xi
             ui -= zi
         z = z_new
-        if r <= tol and s <= tol:
+        if (rel := rho0 * r) <= tol and s <= tol:
             return x, u, it, r, s, rho
         if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
-            if r > 10.0 * s and rho < _RHO_MAX:
+            if rel > 10.0 * s and rho < _RHO_MAX * rho0:
                 step = 2.0
-            elif s > 10.0 * r and rho > _RHO_MIN:
+            elif s > 10.0 * rel and rho > _RHO_MIN * rho0:
                 step = 0.5
             else:
                 continue
@@ -257,11 +258,11 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     """Minimize the grouped coefficient norm over expansions supported on
     `centers` subject to interpolating y at `constraints_x`.
 
-    Solved by ADMM (_admm): projection onto the affine constraint set
-    alternating with the grouped shrinkage.  Stops when both residuals
-    fall below 1e-9.  It starts at the site interpolant and the dual
-    u = g_c^T theta that is a subgradient of the norm there at the sites:
-    ADMM's fixed point (iteration 1) if ||u_j||_q <= 1 at every extra
+    Solved by ADMM (_admm) from rho0 = 1 / max|Y_t|, Y_t = Y A^-1:
+    projection onto the affine constraint set alternating with the grouped
+    shrinkage.  It starts at the site interpolant and the dual
+    rho0 u = g_c^T theta, a subgradient of the norm there at the sites:
+    ADMM's fixed point (iteration 1) if ||rho0 u_j||_q <= 1 at every extra
     center, as for an admissible kernel; at 0 if the site Gram is singular.
     """
     p = kernel.p
@@ -292,6 +293,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
             and nonsingular(np.linalg.svd(r_mat, compute_uv=False).min() ** 2, scale)):
         raise RankError("constraint rows are rank deficient")
     w = np.linalg.solve(r_mat.T, y_t)
+    rho0 = 1.0 / (float(np.abs(y_t).max()) or 1.0)  # Y = 0 stops at any rho
 
     def project(v):
         return (v - q_mat @ (q_mat.T @ v - w),)
@@ -303,9 +305,9 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         d = np.abs(c_s) if p == 1.0 else block_norms(c_s, 2.0)[:, None]
         v = np.divide(c_s, d, out=np.zeros_like(c_s), where=d > 0)
         z[at] = c_s
-        u = g_c.T @ np.linalg.solve(g_s.T, v)
+        u = g_c.T @ np.linalg.solve(g_s.T, v) / rho0
     (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
-                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit")
+                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit", rho0)
     meta = {
         "solver": "admm-basis-pursuit",
         "iterations": it,
@@ -338,9 +340,17 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     |Y| + |X| |C| |A| for the squared loss, the scale of the products that
     form r; the polish's gradient carries the same rounding.
     Returns (gap, objective, U, bound): C certifies at gap <= bound < inf,
-    with bound target max(1, P), raised to that rounding floor up to
-    FLOOR_MAX max(1, P), computed only for a target below FLOOR_MAX, where
-    alone it can raise the bound.  An overflowed objective never certifies.
+    with bound target P, raised to that rounding floor up to FLOOR_MAX P,
+    computed only for a target below DEFAULT_TOL, where alone it can raise
+    the bound.  An overflowed objective never certifies.
+
+    The package's one scale rule: a tolerance is relative to the problem's
+    own size, so Y -> s Y (lam -> s lam for the squared loss) scales the
+    answer by s and changes no decision.  The size is P here, in the
+    barrier stop (eps P) and the polish slack (64 eps |value|); max|Y_t|
+    for pursuit's primal residual and first ADMM penalty; max|Y| for
+    interpolation's residual guard and the absolute loss's Newton system;
+    and the norm itself for a stored norm_lp1.
     """
     r = y - x @ c @ a
     theta = r if loss == "squared" else np.clip(theta, -1.0, 1.0)
@@ -357,13 +367,12 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
         loss_gap = float((np.abs(r) - s * theta * r).sum())
     gap = loss_gap + float((lam * norms - s * (c * u).sum(axis=1)).sum())
     obj = fit + lam * float(norms.sum())
-    scale = max(1.0, obj)
-    bound = target * scale
-    if target < FLOOR_MAX:
+    bound = target * obj
+    if target < DEFAULT_TOL:
         abs_x, abs_a = np.abs(x), np.abs(a)
         size = np.abs(y) + abs_x @ np.abs(c) @ abs_a if loss == "squared" else np.abs(theta)
         floor = _EPS * s * float((norms * block_norms(abs_x.T @ size @ abs_a, q)).sum())
-        bound = max(bound, min(floor, FLOOR_MAX * scale))
+        bound = max(bound, min(floor, FLOOR_MAX * obj))
     return gap, obj, u, bound
 
 
@@ -451,15 +460,17 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
             # would round away the small curvature along a face of optimal
             # points, so they stay apart, with z_k = weights_k J_k step, in
             # the augmented system [[H, J_k^T], [J_k, -diag(1 / weights_k)]],
-            # assembled in place around its leading block H
+            # assembled in place around its leading block H; sigma = 1 / max|Y|
+            # scales its kink rows and columns to H's size in any units of Y
             w = weights.ravel()
             kink = w > math.sqrt(w.max() * w.min())
+            sigma = 1.0 / float(np.abs(y).max())
             system = np.zeros((c.size + int(kink.sum()),) * 2)
             hess = system[:c.size, :c.size]
             np.matmul(curvature[~kink].T, w[~kink, None] * curvature[~kink], out=hess)
-            system[c.size:, :c.size] = curvature[kink]
-            system[:c.size, c.size:] = curvature[kink].T
-            np.fill_diagonal(system[c.size:, c.size:], -1.0 / w[kink])
+            system[c.size:, :c.size] = sigma * curvature[kink]
+            system[:c.size, c.size:] = system[c.size:, :c.size].T
+            np.fill_diagonal(system[c.size:, c.size:], -sigma * (sigma / w[kink]))
         hess.reshape(k, d, k, d)[diag, :, diag, :] += blocks
         g = grad.ravel()[free]
         if not free.all():
@@ -479,7 +490,7 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
         if not polish and dec <= 0.1 * mu:
             if weights is not None:
                 z = w * (curvature @ step.ravel())
-                z[kink] = sol[g.size:]
+                z[kink] = sigma * sol[g.size:]
                 theta = theta - z.reshape(theta.shape)
             break
         t = 1.0
@@ -487,7 +498,7 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
         new = _smoothed(x, a, y, trial, lam, mu, d, loss)
         if polish:
             if not (np.linalg.norm(new[1].ravel()[free]) < np.linalg.norm(g)
-                    and new[0] <= value + 64.0 * _EPS * max(1.0, value)):
+                    and new[0] <= value + 64.0 * _EPS * abs(value)):
                 break
         else:
             while not new[0] <= value - 0.25 * t * dec:
@@ -517,10 +528,10 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
     estimate of _newton; its cones include the residual entries, and its
     gap falls with mu times their number.  Both the polished and the
     centered point are certified.  It stops certified once a gap holds at
-    the certificate's bound (target max(1, P), or its rounding floor);
-    uncertified, with the point of least gap, once the budget is spent or
-    once mu times the number of cones is below eps max(1, P), where the
-    barrier no longer changes the objective and rounding bounds the gap.
+    the certificate's bound (target P, or its rounding floor); uncertified,
+    with the point of least gap, once the budget is spent or once mu times
+    the number of cones is below eps P, where the barrier no longer
+    changes the objective and rounding bounds the gap.
     """
     d = c.shape[1] if p == 2.0 else 1
     gap, obj, u, _ = _certificate(x, a, y, c, lam, p, target, loss, theta)
@@ -538,7 +549,7 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
     mu = best_gap / cones
     every = np.ones(c.size, dtype=bool)
     steps = 0
-    while steps < budget and mu * cones > _EPS * max(1.0, obj):
+    while steps < budget and mu * cones > _EPS * obj:
         c, used, theta = _newton(x, a, y, c, lam, mu, d, loss, curvature, every,
                                  budget - steps)
         steps += used
@@ -567,9 +578,9 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
     x; the largest violator always does, and a peak's block may satisfy
     its neighbours), largest first, at most max(16, |W|); solve the fit
     restricted to W (_restricted_fit); repeat until the certificate holds
-    at max(tol, 64 eps) max(1, P), or at the certificate's own rounding
-    floor (_certificate) when that is larger.  The absolute loss's dual
-    point starts at sign(Y); the squared loss's is always the residual.
+    at tol P, or at the certificate's own rounding floor (_certificate)
+    when that is larger.  The absolute loss's dual point starts at
+    sign(Y); the squared loss's is always the residual.
     Raises NonconvergenceError once max_iters Newton steps are spent; when
     no violator is left outside W (W certified, but the full certificate,
     its products rounded apart, did not); or when the restricted fit
@@ -578,14 +589,13 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
     would repeat.
     Returns (C, Newton steps, objective, gap).
     """
-    target = max(tol, 64.0 * _EPS)
     q = conjugate_exponent(p)
     theta = np.sign(y)
     c = np.zeros_like(y)
     work = np.zeros(0, dtype=int)
     steps, progressed, last = 0, True, None
     while True:
-        gap, obj, u, bound = _certificate(g, a, y, c, lam, p, target, loss, theta)
+        gap, obj, u, bound = _certificate(g, a, y, c, lam, p, tol, loss, theta)
         if gap <= bound < math.inf:
             return c, steps, obj, gap
         work = work[np.abs(c[work]).max(axis=1) > 0.0]
@@ -608,7 +618,7 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
         last = np.zeros(y.shape[0], dtype=bool)
         last[work] = True
         c_work, used, certified, theta = _restricted_fit(
-            g[:, work], a, y, c[work], lam, p, loss, theta, target, max_iters - steps)
+            g[:, work], a, y, c[work], lam, p, loss, theta, tol, max_iters - steps)
         progressed = certified and used > 0
         steps += used
         c = np.zeros_like(y)
@@ -683,11 +693,11 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
     """Regularized multi-task fit over expansions at the sampling sites.
 
     Both losses run the working-set Newton solver (_working_set_fit),
-    which returns only when its duality gap (_certificate) is at most
-    max(tol, 64 eps) max(1, objective), or the certificate's own rounding
-    floor where that is larger, and raises NonconvergenceError after
-    max_iters Newton steps.  meta.iterations counts those steps and
-    meta.gap is the gap as computed.
+    which returns only when its duality gap (_certificate) is at most tol
+    times the objective, or the certificate's own rounding floor where
+    that is larger, and raises NonconvergenceError after max_iters Newton
+    steps.  meta.iterations counts those steps and meta.gap is the gap as
+    computed.
     """
     x, g, a = _design(kernel, x, y)
     c, steps, obj, gap = _working_set_fit(g, a, y.blocks, cfg.lam, kernel.p, cfg.loss,
@@ -759,7 +769,7 @@ def model_from_dict(data: dict) -> FitModel:
         raise DataFormatError("model coefficients must be finite")
     model = _make_model(kernel, centers, blocks, json_field(data, "meta", dict, src, {}))
     norm = model.norm_lp1
-    if abs(json_field(data, "norm_lp1", json_number, src, norm) - norm) > 1e-12 * max(1.0, norm):
+    if abs(json_field(data, "norm_lp1", json_number, src, norm) - norm) > 1e-12 * norm:
         raise DataFormatError("stored norm_lp1 disagrees with stored coefficients")
     return model
 

@@ -136,6 +136,14 @@ def random_block_vector(m, n, p, rng, scale=1.0):
     return BlockVector(scale * rng.standard_normal((m, n)), p)
 
 
+def scale_data(m):
+    """Noisy two-task data on m sorted random sites of (0.02, 0.98)."""
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.02, 0.98, m))
+    y = np.stack([np.sin(6 * x), np.cos(4 * x)], axis=1) + 0.1 * rng.standard_normal((m, 2))
+    return x, y
+
+
 def shuffled_sites(lo, hi, m, rng):
     """m sites in random order, one in the middle 80% of each of m equal
     cells of (lo, hi): the Gram stays well conditioned, so the dense

@@ -16,6 +16,8 @@ from groupkernels.blocklinalg import BlockVector
 from groupkernels.cli import run
 from groupkernels.solvers import min_norm_interpolant, model_from_dict, predict_many
 
+from helpers import scale_data
+
 
 @pytest.fixture
 def train_csv(tmp_path):
@@ -108,6 +110,40 @@ def test_fit_absolute_loss(tmp_path):
               "--loss", "absolute", "--out", out])
     assert rc == 0
     assert json.loads(Path(out).read_text())["meta"]["solver"] == "working-set-newton"
+
+
+def _scaled_train_csv(path, m, s):
+    x, y = scale_data(m)
+    path.write_text("x,y1,y2\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(c)!r}\n" for a, (b, c) in zip(x, s * y)))
+    return x, s * y
+
+
+def test_fit_of_micro_units_keeps_its_support(tmp_path):
+    # lam = 0.01 of the zero threshold, so the optimum keeps 7 blocks at any
+    # scale; at Y * 1e-6 the gap stop was absolute, and fit wrote C = 0
+    train, out = tmp_path / "train.csv", tmp_path / "model.json"
+    x, y = _scaled_train_csv(train, 60, 1e-6)
+    g = gk.kernels.scalar_values(gk.wendland(), x[:, None], x[None, :])
+    lam = 0.01 * float(np.linalg.norm(g @ y, axis=1).max())
+    rc = run(["fit", "--data", str(train), "--kernel", "wendland", "--p", "2",
+              "--coupling", "identity:2", "--lambda", repr(lam), "--out", str(out)])
+    assert rc == 0
+    coeffs = np.array(json.loads(out.read_text())["coeffs"])
+    assert int((np.abs(coeffs).max(axis=1) > 0.0).sum()) == 7
+
+
+def test_pursuit_of_mega_units_converges(tmp_path):
+    # tfamily t = -1 is not admissible, so ADMM iterates; with an absolute
+    # primal stop it ran out of 200,000 iterations at Y * 1e6
+    train, out = tmp_path / "train.csv", tmp_path / "model.json"
+    _scaled_train_csv(train, 40, 1e6)
+    extras = ",".join(repr(float(v)) for v in np.linspace(0.03, 0.97, 25))
+    rc = run(["pursuit", "--data", str(train), "--kernel", "tfamily", "--t", "-1",
+              "--p", "2", "--coupling", "identity:2", "--extra-centers", extras,
+              "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["meta"]["iterations"] < 1000
 
 
 def test_pursuit_command(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -44,6 +45,7 @@ from helpers import (
     dense_predictions,
     random_coupling,
     random_sites,
+    scale_data,
     shuffled_sites,
 )
 
@@ -346,6 +348,14 @@ def test_pursuit_starts_at_the_representer_point():
         assert bp.meta["iterations"] == 1
         assert max(bp.meta["primal_residual"], bp.meta["dual_residual"]) <= 1e-9
         assert bp.norm_lp1 <= min_norm_interpolant(K, cons, y).norm_lp1 * (1 + 1e-12)
+
+
+def test_pursuit_of_zero_data_stops_at_zero():
+    # Y = 0 has no size to set rho by; the zero start is a fixed point at any rho
+    K = gk.OperatorKernel(gk.tfamily(-1.0), gk.TaskCoupling.identity(2), p=2)
+    bp = group_basis_pursuit(K, [0.2, 0.5, 0.8], [0.2, 0.8], BlockVector(np.zeros((2, 2)), 2))
+    assert bp.meta["iterations"] == 1
+    assert bp.norm_lp1 == 0.0
 
 
 def test_pursuit_gaussian_augmentation_helps():
@@ -768,6 +778,61 @@ def test_fit_nonconvergence_raises():
     assert str(exc.value).startswith("admm residuals")
 
 
+_TURN = np.array([[0.6, -0.8], [0.8, 0.6]])
+_FIT_SCALES = [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9]
+_PURSUIT_SCALES = [1e-12, 1e-9, 1e-6, 1e-3, 1e6]
+
+
+@functools.cache
+def _scaled_answer(solver, s, turn):
+    """Support, objective or norm, certified gap and step count of one
+    solver on scale_data with Y -> s Y (turned by _TURN if turn), divided
+    back by the factor the objective takes: s^2 for the squared loss (lam
+    scales with Y), s for the absolute loss and pursuit."""
+    if solver == "pursuit":
+        x, y = scale_data(40)
+        K = gk.OperatorKernel(gk.tfamily(-1.0), gk.TaskCoupling.identity(2), p=2)
+        extras = np.linspace(0.03, 0.97, 25)
+        model = group_basis_pursuit(K, np.r_[x, extras], x, BlockVector(s * y, 2))
+        return None, model.norm_lp1 / s, 0.0, model.meta["iterations"]
+    loss, p = solver
+    x, y = scale_data(60)
+    y = s * (y @ _TURN if turn else y)
+    K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=p)
+    g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
+    lam = 0.01 * float(block_norms(g @ (y if loss == "squared" else np.sign(y)), K.q).max())
+    model = fit_regularized(K, x, BlockVector(y, p), LearnConfig(lam=lam, loss=loss))
+    norms = block_norms(model.coeffs.blocks, p)
+    # the absolute loss's centered point may keep blocks at rounding size
+    support = norms > (0.0 if loss == "squared" else 1e-8 * norms.max())
+    f = s * s if loss == "squared" else s
+    return support, model.meta["objective"] / f, model.meta["gap"] / f, model.meta["iterations"]
+
+
+_SOLVERS = [(loss, p) for loss in ("squared", "absolute") for p in (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("solver,s,turn", [
+    *[(solver, s, False) for solver in _SOLVERS for s in _FIT_SCALES],
+    *[("pursuit", s, False) for s in _PURSUIT_SCALES],
+    (("squared", 2.0), 1.0, True),
+], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"{v}")
+def test_answers_do_not_depend_on_the_units_of_y(solver, s, turn):
+    # every tolerance is relative to the problem's own size, so Y -> s Y
+    # (and a rotation of the tasks, for p = 2 and identity coupling) maps
+    # the answer along.  With tolerances absolute below P = 1, the squared
+    # fit at s = 1e-6 returned C = 0 as certified, and pursuit at s = 1e6
+    # ran out of its 200,000 ADMM iterations
+    support, value, gap, steps = _scaled_answer(solver, s, turn)
+    base_support, base_value, base_gap, base_steps = _scaled_answer(solver, 1.0, False)
+    if solver == "pursuit":
+        assert abs(value - base_value) <= 1e-10 * base_value
+        return
+    np.testing.assert_array_equal(support, base_support)
+    assert abs(value - base_value) <= gap + base_gap
+    assert base_steps / 1.5 <= steps <= 1.5 * base_steps
+
+
 # ---------------------------------------------------------------------------
 # adjoint-side sup norm and the analysis bounds
 # ---------------------------------------------------------------------------
@@ -950,6 +1015,16 @@ def test_model_dict_rejects_tampered_norm():
     model = min_norm_interpolant(BRIDGE1, [0.5], BlockVector([[1.0]], 2))
     data = model_to_dict(model)
     data["norm_lp1"] = data["norm_lp1"] + 1.0
+    with pytest.raises(DataFormatError):
+        model_from_dict(data)
+
+
+def test_model_dict_rejects_a_doubled_tiny_norm():
+    # the stored norm is checked relative to the norm itself: checked
+    # against max(1, norm), a model of Y = 1e-18 passed with its norm doubled
+    model = min_norm_interpolant(BRIDGE1, [0.5], BlockVector([[1e-18]], 2))
+    data = model_to_dict(model)
+    data["norm_lp1"] = 2.0 * data["norm_lp1"]
     with pytest.raises(DataFormatError):
         model_from_dict(data)
 
