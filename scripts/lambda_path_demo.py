@@ -31,8 +31,7 @@ def main():
     rows = ["lambda,norm_lp1,objective"]
     print(f"{'lambda':>12s} {'norm':>12s} {'objective':>12s}")
     for lam in lams:
-        model = fit_regularized(kernel, x, y,
-                                LearnConfig(lam=float(lam), tol=1e-14, max_iters=400_000))
+        model = fit_regularized(kernel, x, y, LearnConfig(lam=float(lam), tol=1e-14))
         obj = model.meta["objective"]
         rows.append(f"{float(lam)!r},{model.norm_lp1!r},{obj!r}")
         print(f"{lam:12.3e} {model.norm_lp1:12.6f} {obj:12.6f}")

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Certify every builtin kernel family and write the reports.
 
-Runs the a1-a4 probes at the standard budget (6 centers, 512-point query
-grid, 200 trials per size) and prints one row per kernel with the worst
-observed stability value, the boundedness constant, and the verdict.
+Runs the a1-a4 probes at CertificationConfig's budget, or at the one the
+flags give, and prints one row per kernel with the worst observed
+stability value, the boundedness constant, and the verdict.
 A Gaussian kernel is included as a known-unstable reference point.
 """
 
@@ -34,16 +34,17 @@ CASES = [
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="certification_reports")
-    parser.add_argument("--max-centers", type=int, default=6)
-    parser.add_argument("--grid", type=int, default=512)
-    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--max-centers", type=int)
+    parser.add_argument("--grid", dest="grid_size", type=int)
+    parser.add_argument("--trials", type=int)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cfg = CertificationConfig(max_centers=args.max_centers, grid_size=args.grid,
-                              trials=args.trials, seed=args.seed)
+    budget = {k: getattr(args, k) for k in ("max_centers", "grid_size", "trials")
+              if getattr(args, k) is not None}
+    cfg = CertificationConfig(seed=args.seed, **budget)
 
     print(f"{'kernel':24s} {'worst':>16s} {'kappa':>10s} {'verdict':>8s} {'time':>7s}")
     for name, spec in CASES:

@@ -30,7 +30,7 @@ from .errors import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from . import admissibility, kernels
+    from . import kernels
 
 # every package error that is not a mathematical failure is caller misuse
 # or bad input; json.JSONDecodeError is a ValueError
@@ -80,6 +80,12 @@ def _pair(value: str) -> tuple[float, float]:
     return pair[0], pair[1]
 
 
+def _given(args, *names) -> dict:
+    """The named flags that were given, as keyword arguments: an omitted
+    flag is left out of the call, so the library's default decides."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _parse_coupling(value: str) -> kernels.TaskCoupling:
     from . import kernels
     if value.startswith("identity:"):
@@ -99,7 +105,8 @@ def _build_kernel(args) -> kernels.OperatorKernel:
                                     domain=args.domain)
     if args.coupling is None:
         raise UsageError("--coupling is required (identity:N or a CSV path)")
-    return kernels.OperatorKernel(scalar=spec, coupling=_parse_coupling(args.coupling), p=args.p)
+    return kernels.OperatorKernel(scalar=spec, coupling=_parse_coupling(args.coupling),
+                                  **_given(args, "p"))
 
 
 def _meta(args) -> dict:
@@ -155,8 +162,7 @@ def _cmd_fit(args) -> int:
         raise UsageError("--lambda requires --out")
 
     def config(lam):
-        return solvers.LearnConfig(lam=lam, loss=args.loss, max_iters=args.max_iters,
-                                   tol=args.tol)
+        return solvers.LearnConfig(lam=lam, **_given(args, "loss", "max_iters", "tol"))
 
     if args.lambda_grid is not None:
         rows = ["lambda,norm_lp1,objective"]
@@ -185,27 +191,18 @@ def _cmd_pursuit(args) -> int:
     kernel = _build_kernel(args)
     x, y = _load_training(args, kernel)
     centers = np.concatenate([x, np.asarray(args.extra_centers, dtype=float)])
-    model = solvers.group_basis_pursuit(kernel, centers, x, y,
-                                        max_iters=args.max_iters)
+    model = solvers.group_basis_pursuit(kernel, centers, x, y, **_given(args, "max_iters"))
     _write_atomic(args.out, _model_json(model, args))
     return 0
 
 
-def _scan_config(args) -> admissibility.CertificationConfig:
-    from . import admissibility
-    return admissibility.CertificationConfig(
-        max_centers=args.max_centers,
-        grid_size=args.grid,
-        trials=args.trials,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
+_SCAN_FLAGS = ("max_centers", "grid_size", "trials", "seed", "tolerance")
 
 
 def _cmd_certify(args) -> int:
     from . import admissibility
     kernel = _build_kernel(args)
-    cfg = _scan_config(args)
+    cfg = admissibility.CertificationConfig(**_given(args, *_SCAN_FLAGS))
     report = admissibility.certify(kernel, cfg)
     data = report.to_dict()
     data["meta"] = _meta(args)
@@ -221,7 +218,7 @@ def _cmd_certify(args) -> int:
 def _cmd_lebesgue_scan(args) -> int:
     from . import admissibility
     kernel = _build_kernel(args)
-    cfg = _scan_config(args)
+    cfg = admissibility.CertificationConfig(**_given(args, *_SCAN_FLAGS))
     result = admissibility.lebesgue_scan(kernel, cfg)
     data = admissibility.scan_report_dict(kernel, cfg, result)
     data["meta"] = _meta(args)
@@ -232,7 +229,8 @@ def _cmd_lebesgue_scan(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # the kernel checks its family and value ranges: parsing loads no numpy
+    # the kernel checks its family and value ranges: parsing loads no numpy.
+    # No flag restates a library default: an omitted one stays None (_given)
     kernel = argparse.ArgumentParser(add_help=False)
     which = kernel.add_mutually_exclusive_group(required=True)
     which.add_argument("--kernel", help="builtin family name")
@@ -240,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     kernel.add_argument("--t", type=float)
     kernel.add_argument("--weights", type=_pair, help="C1,C2 for the combination family")
     kernel.add_argument("--domain", type=_pair, help="lo,hi open interval")
-    kernel.add_argument("--p", type=float, default=2.0)
+    kernel.add_argument("--p", type=float)
     kernel.add_argument("--coupling", help="identity:N or a CSV path")
     kernel.add_argument("--deterministic", action="store_true")
 
@@ -255,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lambda-grid", type=_reals,
                        help="comma-separated penalty weights; emits a path CSV")
     p_fit.add_argument("--path-out")
-    p_fit.add_argument("--loss", choices=("squared", "absolute"), default="squared")
-    p_fit.add_argument("--max-iters", type=int, default=100_000)
-    p_fit.add_argument("--tol", type=float, default=1e-10)
+    p_fit.add_argument("--loss", choices=("squared", "absolute"))
+    p_fit.add_argument("--max-iters", type=int)
+    p_fit.add_argument("--tol", type=float)
     p_fit.add_argument("--out")
 
     p_int = sub.add_parser("interpolate", parents=[kernel], help="exact minimal-norm interpolation")
@@ -273,16 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
                            help="grouped basis pursuit over an augmented center set")
     p_pur.add_argument("--data", required=True)
     p_pur.add_argument("--extra-centers", type=_reals, default=())
-    p_pur.add_argument("--max-iters", type=int, default=200_000)
+    p_pur.add_argument("--max-iters", type=int)
     p_pur.add_argument("--out", required=True)
 
     scan = argparse.ArgumentParser(add_help=False, parents=[kernel])
-    scan.add_argument("--max-centers", type=int, default=6)
-    scan.add_argument("--grid", type=int, default=512,
+    scan.add_argument("--max-centers", type=int)
+    scan.add_argument("--grid", dest="grid_size", type=int,
                       help="probe grid of custom kernels only, which the CLI cannot build")
-    scan.add_argument("--trials", type=int, default=200)
-    scan.add_argument("--seed", type=int, default=0)
-    scan.add_argument("--tolerance", type=float, default=1e-8)
+    scan.add_argument("--trials", type=int)
+    scan.add_argument("--seed", type=int)
+    scan.add_argument("--tolerance", type=float)
     scan.add_argument("--out", required=True)
     scan.add_argument("--csv")
     p_cer = sub.add_parser("certify", parents=[scan], help="run the a1-a4 certification probes")

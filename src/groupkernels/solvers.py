@@ -62,7 +62,6 @@ INTERP_RESIDUAL_RTOL = 1e-8
 INTERP_COND_MAX = 1e12
 # queries per dense kernel block in predict_many
 PREDICT_CHUNK = 1024
-_RHO_MIN, _RHO_MAX = 1e-8, 1e8
 # balancing every iteration can drive a period-2 limit cycle on piecewise
 # linear problems; adapt on a cadence and then freeze (fixed-rho ADMM
 # converges unconditionally)
@@ -218,9 +217,9 @@ def _admm(project, proxes, z, u, max_iters, tol, what, rho0=1.0):
     rho0 ||x - z|| (the primal residual relative to that size) and
     rho ||z - z_prev|| (the dual residual, which has no units), each over
     all blocks, are at most tol.  Residual balancing (Boyd et al. 2011,
-    sec. 3.4.1) doubles or halves rho within [_RHO_MIN, _RHO_MAX] rho0, and
-    rescales the scaled dual, whenever one exceeds ten times the other,
-    every _BALANCE_PERIOD iterations up to _BALANCE_FREEZE.
+    sec. 3.4.1) doubles or halves rho, and rescales the scaled dual,
+    whenever one exceeds ten times the other, every _BALANCE_PERIOD
+    iterations up to _BALANCE_FREEZE: rho stays within 2^+-20 rho0.
     Returns (x, u, iterations, primal residual, dual residual, rho); rho u_i
     is the dual estimate of block i's term.
     """
@@ -237,9 +236,9 @@ def _admm(project, proxes, z, u, max_iters, tol, what, rho0=1.0):
         if (rel := rho0 * r) <= tol and s <= tol:
             return x, u, it, r, s, rho
         if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
-            if rel > 10.0 * s and rho < _RHO_MAX * rho0:
+            if rel > 10.0 * s:
                 step = 2.0
-            elif s > 10.0 * rel and rho > _RHO_MIN * rho0:
+            elif s > 10.0 * rel:
                 step = 0.5
             else:
                 continue
@@ -340,9 +339,9 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     |Y| + |X| |C| |A| for the squared loss, the scale of the products that
     form r; the polish's gradient carries the same rounding.
     Returns (gap, objective, U, bound): C certifies at gap <= bound < inf,
-    with bound target P, raised to that rounding floor up to FLOOR_MAX P,
-    computed only for a target below DEFAULT_TOL, where alone it can raise
-    the bound.  An overflowed objective never certifies.
+    bound = target P, raised to that rounding floor up to FLOOR_MAX P only
+    for a target below DEFAULT_TOL (one in [DEFAULT_TOL, FLOOR_MAX) could
+    be raised too, but is held as given).  Overflow never certifies.
 
     The package's one scale rule: a tolerance is relative to the problem's
     own size, so Y -> s Y (lam -> s lam for the squared loss) scales the
@@ -432,7 +431,8 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
     the Jacobian J = kron(X, A^T) of vec(X C A) for the absolute loss, whose
     Hessian J^T diag(weights) J changes with every step.
     With mu > 0 (centering) each step backtracks to sufficient decrease, and
-    the method stops once the squared Newton decrement is at most mu / 10.
+    the method stops once the squared Newton decrement is at most mu / 10
+    or, where the objective cannot resolve less, 64 eps |value|.
     With mu = 0 (polishing, every free cone nonzero) it takes full steps
     while the gradient norm falls and the objective does not rise beyond
     rounding: near the optimum that converges quadratically down to
@@ -487,7 +487,7 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
         step[free] = move
         step = step.reshape(c.shape)
         dec = -float(g @ move)
-        if not polish and dec <= 0.1 * mu:
+        if not polish and dec <= max(0.1 * mu, 64.0 * _EPS * abs(value)):
             if weights is not None:
                 z = w * (curvature @ step.ravel())
                 z[kink] = sigma * sol[g.size:]

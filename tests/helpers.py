@@ -144,6 +144,15 @@ def scale_data(m):
     return x, y
 
 
+def pinned_set(set_id, m):
+    """A solvers-m400 benchmark data set: one site in the middle half of
+    each of m cells of (0, 1), noisy smooth two-task data."""
+    rng = np.random.default_rng([0, set_id])
+    x = (np.arange(m) + 0.25 + 0.5 * rng.random(m)) / m
+    y = np.stack([np.sin(2 * math.pi * x), np.cos(3 * math.pi * x)], axis=1)
+    return x, y + 0.05 * rng.standard_normal((m, 2))
+
+
 def shuffled_sites(lo, hi, m, rng):
     """m sites in random order, one in the middle 80% of each of m equal
     cells of (lo, hi): the Gram stays well conditioned, so the dense

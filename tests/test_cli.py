@@ -1,4 +1,7 @@
+import argparse
 import contextlib
+import dataclasses
+import inspect
 import io
 import json
 import os
@@ -13,8 +16,15 @@ from hypothesis import example, given, settings, strategies as st
 
 import groupkernels as gk
 from groupkernels.blocklinalg import BlockVector
-from groupkernels.cli import run
-from groupkernels.solvers import min_norm_interpolant, model_from_dict, predict_many
+from groupkernels.admissibility import CertificationConfig
+from groupkernels.cli import build_parser, run
+from groupkernels.solvers import (
+    LearnConfig,
+    group_basis_pursuit,
+    min_norm_interpolant,
+    model_from_dict,
+    predict_many,
+)
 
 from helpers import scale_data
 
@@ -923,6 +933,47 @@ def test_brownianbridge_model_json_still_predicts(tmp_path):
         assert run(["predict", "--model", str(path), "--points", str(pts), "--out", str(out)]) == 0
         predictions.append(out.read_bytes())
     assert predictions[0] == predictions[1]
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+# the flags whose default the library sets: a config field, max_iters or p
+_LIBRARY_SET = {*_defaults(LearnConfig), "lam", *_defaults(CertificationConfig), "max_iters", "p"}
+
+
+def test_no_flag_restates_a_library_default():
+    # each of these flags had a default of its own, a copy of the library's
+    actions = [a for sub in _subparsers(build_parser()).values() for a in sub._actions
+               if a.dest in _LIBRARY_SET]
+    assert {a.dest for a in actions} == _LIBRARY_SET
+    assert [(a.option_strings, a.default) for a in actions if a.default is not None] == []
+
+
+@pytest.mark.parametrize("argv,library", [
+    (["certify"], _defaults(CertificationConfig)),
+    (["fit", "--data", "{data}", "--lambda", "0.05"], _defaults(LearnConfig)),
+    (["pursuit", "--data", "{data}", "--extra-centers", "0.5,0.7"],
+     {"max_iters": inspect.signature(group_basis_pursuit).parameters["max_iters"].default}),
+], ids=["certify", "fit", "pursuit"])
+def test_omitted_flags_take_the_library_defaults(tmp_path, argv, library):
+    train = tmp_path / "train.csv"
+    _scaled_train_csv(train, 20, 1.0)
+    argv = [a.format(data=train) for a in argv]
+    argv += ["--kernel", "wendland", "--coupling", "identity:2", "--deterministic"]
+    flag = {a.dest: a.option_strings[0] for a in _subparsers(build_parser())[argv[0]]._actions}
+    defaults = {"p": _defaults(gk.OperatorKernel)["p"], **library}
+    spelled = [arg for dest, value in defaults.items() for arg in (flag[dest], str(value))]
+    omitted, given = tmp_path / "omitted.json", tmp_path / "given.json"
+    assert run([*argv, "--out", str(omitted)]) == 0
+    assert run([*argv, *spelled, "--out", str(given)]) == 0
+    assert omitted.read_bytes() == given.read_bytes()
 
 
 def test_help_exits_zero(capsys):

@@ -43,6 +43,7 @@ from helpers import (
     ADMISSIBLE_SPECS,
     dense_interpolant_coeffs,
     dense_predictions,
+    pinned_set,
     random_coupling,
     random_sites,
     scale_data,
@@ -519,15 +520,6 @@ def test_fit_certified_across_kernels(spec, p):
         assert model.meta["objective"] <= admm.meta["objective"] * (1.0 + 1e-14)
 
 
-def pinned_set(set_id, m):
-    """A solvers-m400 benchmark data set: one site in the middle half of
-    each of m cells of (0, 1), noisy smooth two-task data."""
-    rng = np.random.default_rng([0, set_id])
-    x = (np.arange(m) + 0.25 + 0.5 * rng.random(m)) / m
-    y = np.stack([np.sin(2 * math.pi * x), np.cos(3 * math.pi * x)], axis=1)
-    return x, y + 0.05 * rng.standard_normal((m, 2))
-
-
 def test_fit_pinned_m400_is_optimal():
     # the solvers-m400 benchmark fit: wendland, identity:2 coupling, p = 2.
     # Accelerated proximal gradient stopped on a relative objective change
@@ -651,6 +643,30 @@ def test_absolute_fit_certified_across_kernels(spec, p):
         except NonconvergenceError:
             continue
         assert primal <= admm.meta["objective"] * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("p,tol,certifies", [(1.0, 1e-12, True), (1.0, 1e-13, False),
+                                             (2.0, 1e-13, True)])
+def test_a_stalled_centering_ends_at_rounding(p, tol, certifies):
+    # pinned set 2, absolute loss.  One centering at mu = 3.2e-15 (P = 3.47)
+    # took 2,941 of 3,000 steps: its squared Newton decrement sat at the
+    # rounding of the objective, above mu / 10.  So both p = 1 fits spent
+    # the whole budget, and p = 2 exited 2 after 106 steps; stopped at
+    # 64 eps |value| they take 62, 81 and 65 steps
+    x, y = pinned_set(2, 50)
+    K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=p)
+    cfg = LearnConfig(lam=0.02, loss="absolute", tol=tol, max_iters=3000)
+    if not certifies:
+        with pytest.raises(NonconvergenceError) as exc:
+            fit_regularized(K, x, BlockVector(y, p), cfg)
+        assert exc.value.iterations <= 200
+        return
+    model = fit_regularized(K, x, BlockVector(y, p), cfg)
+    assert model.meta["iterations"] <= 200
+    if p == 1.0:
+        g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
+        lp = lp_absolute_fit(g, np.eye(2), y, 0.02)
+        assert abs(model.meta["objective"] - lp) <= model.meta["gap"]
 
 
 def test_fit_certifies_at_the_rounding_floor():
