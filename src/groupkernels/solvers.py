@@ -53,7 +53,7 @@ from .kernels import (
     validate_centers,
 )
 
-PURSUIT_TOL = 1e-9  # relative residual stop for basis pursuit (_admm)
+PURSUIT_TOL = 1e-9  # residual stop for basis pursuit (_admm), in units of 2^e
 # a tol below the default may relax to the certificate's rounding floor, at
 # most FLOOR_MAX P: a float64 C at lam -> 0 reaches 1.6e-10 P and no better
 DEFAULT_TOL, FLOOR_MAX = 1e-10, 1e-9
@@ -67,7 +67,7 @@ PREDICT_CHUNK = 1024
 # converges unconditionally)
 _BALANCE_PERIOD = 50
 _BALANCE_FREEZE = 1000
-_EPS = float(np.finfo(float).eps)
+_EPS, _MAX = float(np.finfo(float).eps), float(np.finfo(float).max)
 # every KKT violator enters the working set while the Newton system stays
 # at most this many unknowns: below it a dense solve costs less than the
 # Python overhead of a step, while each extra round reruns a barrier path
@@ -206,24 +206,23 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     return blocks * np.maximum(1.0 - ratio, 0.0)[:, None]
 
 
-def _admm(project, proxes, z, u, max_iters, tol, what, rho0=1.0):
+def _admm(project, proxes, z, u, max_iters, tol, what):
     """Scaled ADMM for a sum of separable terms over an affine set, split
     as x = z with x confined to the set and block z_i carrying term i,
     from the start lists z and u of arrays (u is updated in place):
 
         x = project(z - u),  z_i = prox_i(x_i + u_i, rho),  u += x - z.
 
-    rho starts at rho0, one over the size of the data x fits; it stops once
-    rho0 ||x - z|| (the primal residual relative to that size) and
-    rho ||z - z_prev|| (the dual residual, which has no units), each over
-    all blocks, are at most tol.  Residual balancing (Boyd et al. 2011,
-    sec. 3.4.1) doubles or halves rho, and rescales the scaled dual,
-    whenever one exceeds ten times the other, every _BALANCE_PERIOD
-    iterations up to _BALANCE_FREEZE: rho stays within 2^+-20 rho0.
+    rho starts at 1; it stops once the primal residual ||x - z|| and the
+    dual residual rho ||z - z_prev||, each over all blocks, are at most
+    tol.  Residual balancing (Boyd et al. 2011, sec. 3.4.1) doubles or
+    halves rho, and rescales the scaled dual, whenever one exceeds ten
+    times the other, every _BALANCE_PERIOD iterations up to
+    _BALANCE_FREEZE: rho stays within 2^+-20.
     Returns (x, u, iterations, primal residual, dual residual, rho); rho u_i
     is the dual estimate of block i's term.
     """
-    rho, r, s = rho0, math.inf, math.inf
+    rho, r, s = 1.0, math.inf, math.inf
     for it in range(1, max_iters + 1):
         x = project(*[zi - ui for zi, ui in zip(z, u)])
         z_new = [prox(xi + ui, rho) for prox, xi, ui in zip(proxes, x, u)]
@@ -233,12 +232,12 @@ def _admm(project, proxes, z, u, max_iters, tol, what, rho0=1.0):
             ui += xi
             ui -= zi
         z = z_new
-        if (rel := rho0 * r) <= tol and s <= tol:
+        if r <= tol and s <= tol:
             return x, u, it, r, s, rho
         if it % _BALANCE_PERIOD == 0 and it <= _BALANCE_FREEZE:
-            if rel > 10.0 * s:
+            if r > 10.0 * s:
                 step = 2.0
-            elif s > 10.0 * rel:
+            elif s > 10.0 * r:
                 step = 0.5
             else:
                 continue
@@ -252,17 +251,33 @@ def _admm(project, proxes, z, u, max_iters, tol, what, rho0=1.0):
     )
 
 
+def _unit(y):
+    """y 2^-e, exact, and e, the binary exponent of max|y| (0 if y = 0)."""
+    e = math.frexp(float(np.abs(y).max()))[1]
+    return np.ldexp(y, -e), e
+
+
+def _scaled_back(it, *pairs):
+    """v 2^k for each pair (v, k); NonconvergenceError past the float range."""
+    with np.errstate(over="ignore"):
+        out = [np.ldexp(v, k) for v, k in pairs]
+    if not all(np.isfinite(v).all() for v in out):
+        raise NonconvergenceError(f"answer past the float range after {it} iterations", it)
+    return out
+
+
 def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
                         y: BlockVector, max_iters: int = 200_000) -> FitModel:
     """Minimize the grouped coefficient norm over expansions supported on
     `centers` subject to interpolating y at `constraints_x`.
 
-    Solved by ADMM (_admm) from rho0 = 1 / max|Y_t|, Y_t = Y A^-1:
-    projection onto the affine constraint set alternating with the grouped
-    shrinkage.  It starts at the site interpolant and the dual
-    rho0 u = g_c^T theta, a subgradient of the norm there at the sites:
-    ADMM's fixed point (iteration 1) if ||rho0 u_j||_q <= 1 at every extra
-    center, as for an admissible kernel; at 0 if the site Gram is singular.
+    Solved by ADMM (_admm) on Y_t 2^-e (_unit, Y_t = Y A^-1), C and
+    meta.primal_residual scaled back by 2^e: projection onto the affine
+    constraint set alternating with the grouped shrinkage.  It starts at
+    the site interpolant and the dual u = g_c^T theta, a subgradient of the
+    norm there at the sites: ADMM's fixed point (iteration 1) if
+    ||u_j||_q <= 1 at every extra center, as for an admissible kernel; at
+    0 if the site Gram is singular.
     """
     p = kernel.p
     if p not in (1.0, 2.0):
@@ -282,7 +297,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         raise ShapeError(f"expected {m} blocks of dimension {n}, got {y.m} of {y.n}")
 
     g_c = scalar_values(spec, cons[:, None], cen[None, :])  # (m, M)
-    y_t = y.blocks @ kernel.coupling.A_inv
+    y_t, e = _unit(y.blocks @ kernel.coupling.A_inv)
     # g_c^T = Q R gives g_c g_c^T = R^T R, so the projection onto g_c v = y_t
     # is v - Q (Q^T v - R^{-T} y_t).  The singularity rule takes sigma_min(R)^2
     # and max|g_c g_c^T|, the largest squared row norm of g_c
@@ -292,7 +307,6 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
             and nonsingular(np.linalg.svd(r_mat, compute_uv=False).min() ** 2, scale)):
         raise RankError("constraint rows are rank deficient")
     w = np.linalg.solve(r_mat.T, y_t)
-    rho0 = 1.0 / (float(np.abs(y_t).max()) or 1.0)  # Y = 0 stops at any rho
 
     def project(v):
         return (v - q_mat @ (q_mat.T @ v - w),)
@@ -304,17 +318,12 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         d = np.abs(c_s) if p == 1.0 else block_norms(c_s, 2.0)[:, None]
         v = np.divide(c_s, d, out=np.zeros_like(c_s), where=d > 0)
         z[at] = c_s
-        u = g_c.T @ np.linalg.solve(g_s.T, v) / rho0
+        u = g_c.T @ np.linalg.solve(g_s.T, v)
     (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
-                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit", rho0)
-    meta = {
-        "solver": "admm-basis-pursuit",
-        "iterations": it,
-        "primal_residual": r,
-        "dual_residual": s,
-        "rho": rho,
-        "p": p,
-    }
+                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit")
+    c, r = _scaled_back(it, (c, e), (r, e))
+    meta = {"solver": "admm-basis-pursuit", "iterations": it, "primal_residual": float(r),
+            "dual_residual": s, "rho": rho, "p": p}
     return _make_model(kernel, cen, c, meta)
 
 
@@ -343,13 +352,10 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     for a target below DEFAULT_TOL (one in [DEFAULT_TOL, FLOOR_MAX) could
     be raised too, but is held as given).  Overflow never certifies.
 
-    The package's one scale rule: a tolerance is relative to the problem's
-    own size, so Y -> s Y (lam -> s lam for the squared loss) scales the
-    answer by s and changes no decision.  The size is P here, in the
-    barrier stop (eps P) and the polish slack (64 eps |value|); max|Y_t|
-    for pursuit's primal residual and first ADMM penalty; max|Y| for
-    interpolation's residual guard and the absolute loss's Newton system;
-    and the norm itself for a stored norm_lp1.
+    Units are taken once, at entry: fit_regularized and group_basis_pursuit
+    solve on Y 2^-e (_unit), so Y -> 2^k Y changes no bit of the answer but
+    its exponent.  Inside, a tolerance is relative to P: here (target P),
+    in the barrier stop (eps P) and in the polish slack (64 eps |value|).
     """
     r = y - x @ c @ a
     theta = r if loss == "squared" else np.clip(theta, -1.0, 1.0)
@@ -445,6 +451,7 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
     the pending step Delta c as well, theta + weights (-X Delta c A): then
     J^T theta is the penalty gradient linearized at c + Delta c, so the
     dual point is as close to feasible as the step is to the optimum.
+    Y arrives with max|Y| in [1/2, 1) (_unit), so no row needs a scale.
     """
     polish = mu == 0.0
     k = c.size // d
@@ -460,17 +467,15 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
             # would round away the small curvature along a face of optimal
             # points, so they stay apart, with z_k = weights_k J_k step, in
             # the augmented system [[H, J_k^T], [J_k, -diag(1 / weights_k)]],
-            # assembled in place around its leading block H; sigma = 1 / max|Y|
-            # scales its kink rows and columns to H's size in any units of Y
+            # assembled in place around its leading block H
             w = weights.ravel()
             kink = w > math.sqrt(w.max() * w.min())
-            sigma = 1.0 / float(np.abs(y).max())
             system = np.zeros((c.size + int(kink.sum()),) * 2)
             hess = system[:c.size, :c.size]
             np.matmul(curvature[~kink].T, w[~kink, None] * curvature[~kink], out=hess)
-            system[c.size:, :c.size] = sigma * curvature[kink]
-            system[:c.size, c.size:] = system[c.size:, :c.size].T
-            np.fill_diagonal(system[c.size:, c.size:], -sigma * (sigma / w[kink]))
+            system[c.size:, :c.size] = curvature[kink]
+            system[:c.size, c.size:] = curvature[kink].T
+            np.fill_diagonal(system[c.size:, c.size:], -1.0 / w[kink])
         hess.reshape(k, d, k, d)[diag, :, diag, :] += blocks
         g = grad.ravel()[free]
         if not free.all():
@@ -490,7 +495,7 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
         if not polish and dec <= max(0.1 * mu, 64.0 * _EPS * abs(value)):
             if weights is not None:
                 z = w * (curvature @ step.ravel())
-                z[kink] = sigma * sol[g.size:]
+                z[kink] = sol[g.size:]
                 theta = theta - z.reshape(theta.shape)
             break
         t = 1.0
@@ -692,24 +697,24 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
                     cfg: LearnConfig) -> FitModel:
     """Regularized multi-task fit over expansions at the sampling sites.
 
-    Both losses run the working-set Newton solver (_working_set_fit),
-    which returns only when its duality gap (_certificate) is at most tol
-    times the objective, or the certificate's own rounding floor where
-    that is larger, and raises NonconvergenceError after max_iters Newton
-    steps.  meta.iterations counts those steps and meta.gap is the gap as
-    computed.
+    Both losses run the working-set Newton solver (_working_set_fit) on
+    Y 2^-e (_unit), with lam 2^-e, clamped at the float maximum, for the
+    squared loss.  It returns only when its duality gap (_certificate) is
+    at most tol times the objective, or the certificate's own rounding
+    floor where that is larger, and raises NonconvergenceError after
+    max_iters Newton steps or when the answer, scaled back, is not finite.
+    meta.iterations counts those steps and meta.gap is the gap as computed.
     """
     x, g, a = _design(kernel, x, y)
-    c, steps, obj, gap = _working_set_fit(g, a, y.blocks, cfg.lam, kernel.p, cfg.loss,
+    (y_u, e), squared = _unit(y.blocks), cfg.loss == "squared"
+    with np.errstate(over="ignore"):  # past _MAX, C = 0 is optimal anyway
+        lam = min(float(np.ldexp(cfg.lam, -e)), _MAX) if squared else cfg.lam
+    c, steps, obj, gap = _working_set_fit(g, a, y_u, lam, kernel.p, cfg.loss,
                                           cfg.max_iters, cfg.tol, np.argsort(x))
-    meta = {
-        "solver": "working-set-newton",
-        "loss": cfg.loss,
-        "lam": cfg.lam,
-        "iterations": steps,
-        "objective": obj,
-        "gap": gap,
-    }
+    k = 2 * e if squared else e
+    c, obj, gap = _scaled_back(steps, (c, e), (obj, k), (gap, k))
+    meta = {"solver": "working-set-newton", "loss": cfg.loss, "lam": cfg.lam,
+            "iterations": steps, "objective": float(obj), "gap": float(gap)}
     return _make_model(kernel, x, c, meta)
 
 

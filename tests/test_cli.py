@@ -684,7 +684,8 @@ def test_commands_leave_numpy_ma_out(command_loads):
 def test_overflowing_fit_prints_one_error_line(tmp_path, loss):
     # squares of values near 1e200 overflow: numpy printed three RuntimeWarnings
     # (six lines) before the error line.  pytest records warnings instead of
-    # printing them, so the command runs in a fresh interpreter
+    # printing them, so the command runs in a fresh interpreter.  The squared
+    # objective still overflows; the absolute fit, solved on Y 2^-e, certifies
     data = tmp_path / "train.csv"
     data.write_text("x,y1\n0.2,1e200\n0.5,-3e200\n0.8,2e200\n")
     out = tmp_path / "fit.json"
@@ -695,7 +696,8 @@ def test_overflowing_fit_prints_one_error_line(tmp_path, loss):
             "--lambda", "0.1", "--loss", loss, "--data", str(data), "--out", str(out)]
     proc = subprocess.run([sys.executable, "-m", "groupkernels.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2
+    assert proc.returncode == (2 if loss == "squared" else 0)
+    assert out.exists() == (loss == "absolute")
     _assert_clean_exit(proc.returncode, proc.stderr, out)
 
 

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
     ("lambda_path_demo.py", []),
     ("representer_check.py", ["--instances", "20"]),
     ("run_certification.py", ["--trials", "10"]),
-], ids=["lambda_path_demo", "representer_check", "run_certification"])
+    ("fit_sweep.py", ["--fits", "5", "--tols", "1e-10"]),
+], ids=["lambda_path_demo", "representer_check", "run_certification", "fit_sweep"])
 def test_script_runs(tmp_path, script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

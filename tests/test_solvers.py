@@ -691,12 +691,19 @@ def test_fit_certifies_at_the_rounding_floor():
 
 @pytest.mark.parametrize("loss", ["squared", "absolute"])
 def test_fit_on_overflowing_data_raises(loss):
-    # at 1e200 the squared loss overflows: the fit returned with objective
-    # and gap inf, since inf <= inf; the absolute-loss rounds took no step,
-    # so the dropped blocks re-entered round after round without end
+    # at 1e200 the squared objective overflows: the fit returned with
+    # objective and gap inf, since inf <= inf.  The absolute loss once
+    # exited 2 too, its rounds taking no step; solved on Y 2^-e, it
+    # certifies 1e200 times the unit-data answer, as P(sY, sC) = s P(Y, C)
+    sites, cfg = [-1.0, 0.0, 1.0], LearnConfig(lam=0.1, loss=loss)
     y = BlockVector(np.full((3, 2), 1e200), 2)
-    with np.errstate(all="ignore"), pytest.raises(NonconvergenceError):
-        fit_regularized(EXP2, [-1.0, 0.0, 1.0], y, LearnConfig(lam=0.1, loss=loss))
+    if loss == "squared":
+        with pytest.raises(NonconvergenceError):
+            fit_regularized(EXP2, sites, y, cfg)
+        return
+    big = fit_regularized(EXP2, sites, y, cfg).meta
+    unit = fit_regularized(EXP2, sites, BlockVector(np.ones((3, 2)), 2), cfg).meta
+    assert abs(big["objective"] / 1e200 - unit["objective"]) <= big["gap"] / 1e200 + unit["gap"]
 
 
 def test_rounding_floor_never_certifies_above_floor_max():
@@ -797,20 +804,26 @@ def test_fit_nonconvergence_raises():
 _TURN = np.array([[0.6, -0.8], [0.8, 0.6]])
 _FIT_SCALES = [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9]
 _PURSUIT_SCALES = [1e-12, 1e-9, 1e-6, 1e-3, 1e6]
+# binary exponents k of the exact scales s = 2^k; the squared objective
+# scales by 2^2k, so at 2^-540 it underflows to 0.0 (and at 2^700 it
+# overflows: test_units_at_the_ends_of_the_float_range)
+_EXACT = {"squared": [-700, -540, 500], "absolute": [-700, -500, 500, 700],
+          "pursuit": [-1000, -700, 700, 1000]}
 
 
 @functools.cache
 def _scaled_answer(solver, s, turn):
-    """Support, objective or norm, certified gap and step count of one
-    solver on scale_data with Y -> s Y (turned by _TURN if turn), divided
-    back by the factor the objective takes: s^2 for the squared loss (lam
-    scales with Y), s for the absolute loss and pursuit."""
+    """Coefficients over s, support, objective or norm and certified gap
+    (divided back by the factor the objective takes: s^2 for the squared
+    loss, whose lam scales with Y, s for the absolute loss and pursuit) and
+    step count of one solver on scale_data with Y -> s Y (turned by _TURN
+    if turn)."""
     if solver == "pursuit":
         x, y = scale_data(40)
         K = gk.OperatorKernel(gk.tfamily(-1.0), gk.TaskCoupling.identity(2), p=2)
         extras = np.linspace(0.03, 0.97, 25)
         model = group_basis_pursuit(K, np.r_[x, extras], x, BlockVector(s * y, 2))
-        return None, model.norm_lp1 / s, 0.0, model.meta["iterations"]
+        return model.coeffs.blocks / s, None, model.norm_lp1 / s, 0.0, model.meta["iterations"]
     loss, p = solver
     x, y = scale_data(60)
     y = s * (y @ _TURN if turn else y)
@@ -821,8 +834,10 @@ def _scaled_answer(solver, s, turn):
     norms = block_norms(model.coeffs.blocks, p)
     # the absolute loss's centered point may keep blocks at rounding size
     support = norms > (0.0 if loss == "squared" else 1e-8 * norms.max())
-    f = s * s if loss == "squared" else s
-    return support, model.meta["objective"] / f, model.meta["gap"] / f, model.meta["iterations"]
+    obj, gap = model.meta["objective"] / s, model.meta["gap"] / s
+    if loss == "squared":
+        obj, gap = obj / s, gap / s
+    return model.coeffs.blocks / s, support, obj, gap, model.meta["iterations"]
 
 
 _SOLVERS = [(loss, p) for loss in ("squared", "absolute") for p in (1.0, 2.0)]
@@ -832,21 +847,76 @@ _SOLVERS = [(loss, p) for loss in ("squared", "absolute") for p in (1.0, 2.0)]
     *[(solver, s, False) for solver in _SOLVERS for s in _FIT_SCALES],
     *[("pursuit", s, False) for s in _PURSUIT_SCALES],
     (("squared", 2.0), 1.0, True),
+    *[(solver, math.ldexp(1.0, k), False) for solver in _SOLVERS for k in _EXACT[solver[0]]],
+    *[("pursuit", math.ldexp(1.0, k), False) for k in _EXACT["pursuit"]],
 ], ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else f"{v}")
 def test_answers_do_not_depend_on_the_units_of_y(solver, s, turn):
+    # fit and pursuit solve on Y 2^-e, e the binary exponent of max|Y|, and
     # every tolerance is relative to the problem's own size, so Y -> s Y
     # (and a rotation of the tasks, for p = 2 and identity coupling) maps
-    # the answer along.  With tolerances absolute below P = 1, the squared
-    # fit at s = 1e-6 returned C = 0 as certified, and pursuit at s = 1e6
-    # ran out of its 200,000 ADMM iterations
-    support, value, gap, steps = _scaled_answer(solver, s, turn)
-    base_support, base_value, base_gap, base_steps = _scaled_answer(solver, 1.0, False)
+    # the answer along, bit for bit when s is a power of two.  With
+    # tolerances absolute below P = 1, the squared fit at s = 1e-6 returned
+    # C = 0 as certified, and pursuit at s = 1e6 ran out of its 200,000
+    # ADMM iterations; until the units were taken at entry, the squared fit
+    # returned C = 0 below 1e-162 and the absolute fits exited 2 at 2^+-500
+    coeffs, support, value, gap, steps = _scaled_answer(solver, s, turn)
+    base = _scaled_answer(solver, 1.0, False)
+    base_coeffs, base_support, base_value, base_gap, base_steps = base
+    if math.frexp(s)[0] == 0.5 and not turn:
+        np.testing.assert_array_equal(coeffs, base_coeffs)
+        assert steps == base_steps
+        return
     if solver == "pursuit":
         assert abs(value - base_value) <= 1e-10 * base_value
         return
     np.testing.assert_array_equal(support, base_support)
     assert abs(value - base_value) <= gap + base_gap
     assert base_steps / 1.5 <= steps <= 1.5 * base_steps
+
+
+@pytest.mark.parametrize("solver,y_max,lam,outcome", [
+    ("squared", 0.0, 0.1, "zero"),
+    ("absolute", 0.0, 0.1, "zero"),
+    ("squared", 1e-300, 1e9, "zero"),  # lam 2^-e overflows: clamped, C = 0 is optimal
+    ("squared", 2.0 ** 700, None, "raises"),  # the objective overflows
+    ("squared", 1.5e308, None, "raises"),
+    ("absolute", 1.5e308, None, "raises"),  # C overflows
+    ("squared", 1e-310, None, "returns"),
+    ("absolute", 1e-310, None, "returns"),
+    ("pursuit", 1e-310, None, "returns"),
+], ids=lambda v: f"{v}")
+def test_units_at_the_ends_of_the_float_range(solver, y_max, lam, outcome):
+    # scale_data with max|Y| = y_max, p = 2, and lam = 0.01 lam_max where
+    # None.  An answer past the float range exits 2; a subnormal Y is solved
+    # at the normal scale.  Before the units were taken at entry, the
+    # 1e-310 squared fit returned C = 0, the absolute fit exited 2 after 0
+    # steps and pursuit after 200,000 iterations; the raising cases raised,
+    # but let numpy's overflow warnings out first
+    x, unit = scale_data(60)
+    unit = unit / np.abs(unit).max()
+    y = unit * y_max
+    K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=2)
+    if solver == "pursuit":
+        model = group_basis_pursuit(K, np.r_[x, np.linspace(0.03, 0.97, 25)], x,
+                                    BlockVector(y, 2))
+        assert np.all(np.isfinite(model.coeffs.blocks)) and model.norm_lp1 > 0.0
+        return
+    if lam is None:  # from the unit data, so that nothing overflows
+        g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
+        squared = solver == "squared"
+        lam = 0.01 * float(block_norms(g @ (unit if squared else np.sign(unit)), K.q).max())
+        lam *= y_max if squared else 1.0
+    cfg = LearnConfig(lam=lam, loss=solver)
+    if outcome == "raises":
+        with pytest.raises(NonconvergenceError):
+            fit_regularized(K, x, BlockVector(y, 2), cfg)
+        return
+    model = fit_regularized(K, x, BlockVector(y, 2), cfg)
+    c = model.coeffs.blocks
+    if outcome == "zero":
+        assert not c.any() and model.meta["gap"] == 0.0 and model.meta["iterations"] == 0
+    else:
+        assert np.all(np.isfinite(c)) and c.any()
 
 
 # ---------------------------------------------------------------------------
