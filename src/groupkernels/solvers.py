@@ -54,8 +54,8 @@ from .kernels import (
 )
 
 PURSUIT_TOL = 1e-9  # residual stop for basis pursuit (_admm), in units of 2^e
-# a tol below the default may relax to the certificate's rounding floor, at
-# most FLOOR_MAX P: a float64 C at lam -> 0 reaches 1.6e-10 P and no better
+# any tol relaxes to the certificate's rounding floor, at most FLOOR_MAX P:
+# a float64 C at lam -> 0 reaches 1.6e-10 P and no better
 DEFAULT_TOL, FLOOR_MAX = 1e-10, 1e-9
 # min_norm_interpolant raises SingularError past either limit
 INTERP_RESIDUAL_RTOL = 1e-8
@@ -206,7 +206,7 @@ def _shrink(blocks: np.ndarray, tau: float, p: float) -> np.ndarray:
     return blocks * np.maximum(1.0 - ratio, 0.0)[:, None]
 
 
-def _admm(project, proxes, z, u, max_iters, tol, what):
+def _admm(project, proxes, z, u, max_iters, tol, what, e=0):
     """Scaled ADMM for a sum of separable terms over an affine set, split
     as x = z with x confined to the set and block z_i carrying term i,
     from the start lists z and u of arrays (u is updated in place):
@@ -220,7 +220,8 @@ def _admm(project, proxes, z, u, max_iters, tol, what):
     times the other, every _BALANCE_PERIOD iterations up to
     _BALANCE_FREEZE: rho stays within 2^+-20.
     Returns (x, u, iterations, primal residual, dual residual, rho); rho u_i
-    is the dual estimate of block i's term.
+    is the dual estimate of block i's term.  A spent budget raises
+    NonconvergenceError with both residuals times 2^e, the caller's units.
     """
     rho, r, s = 1.0, math.inf, math.inf
     for it in range(1, max_iters + 1):
@@ -244,6 +245,8 @@ def _admm(project, proxes, z, u, max_iters, tol, what):
             rho *= step
             for ui in u:
                 ui /= step
+    with np.errstate(over="ignore"):
+        r, s = np.ldexp([r, s], e).tolist()
     raise NonconvergenceError(
         f"{what} residuals {r:.3e}/{s:.3e} after {max_iters} iterations",
         iterations=max_iters,
@@ -320,7 +323,7 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         z[at] = c_s
         u = g_c.T @ np.linalg.solve(g_s.T, v)
     (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
-                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit")
+                                   [z], [u], max_iters, PURSUIT_TOL, "basis pursuit", e)
     c, r = _scaled_back(it, (c, e), (r, e))
     meta = {"solver": "admm-basis-pursuit", "iterations": it, "primal_residual": float(r),
             "dual_residual": s, "rho": rho, "p": p}
@@ -348,9 +351,9 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     |Y| + |X| |C| |A| for the squared loss, the scale of the products that
     form r; the polish's gradient carries the same rounding.
     Returns (gap, objective, U, bound): C certifies at gap <= bound < inf,
-    bound = target P, raised to that rounding floor up to FLOOR_MAX P only
-    for a target below DEFAULT_TOL (one in [DEFAULT_TOL, FLOOR_MAX) could
-    be raised too, but is held as given).  Overflow never certifies.
+    bound = target P raised to that floor, at most FLOOR_MAX P, where it can
+    decide (target P < gap <= FLOOR_MAX P): a looser target never certifies
+    less.  Overflow never certifies.
 
     Units are taken once, at entry: fit_regularized and group_basis_pursuit
     solve on Y 2^-e (_unit), so Y -> 2^k Y changes no bit of the answer but
@@ -373,7 +376,7 @@ def _certificate(x, a, y, c, lam, p, target, loss="squared", theta=None):
     gap = loss_gap + float((lam * norms - s * (c * u).sum(axis=1)).sum())
     obj = fit + lam * float(norms.sum())
     bound = target * obj
-    if target < DEFAULT_TOL:
+    if bound < gap <= FLOOR_MAX * obj:
         abs_x, abs_a = np.abs(x), np.abs(a)
         size = np.abs(y) + abs_x @ np.abs(c) @ abs_a if loss == "squared" else np.abs(theta)
         floor = _EPS * s * float((norms * block_norms(abs_x.T @ size @ abs_a, q)).sum())
@@ -575,7 +578,7 @@ def _restricted_fit(x, a, y, c, lam, p, loss, theta, target, budget):
     return best, steps, False, best_theta
 
 
-def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
+def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order, k):
     """Fit by working sets: certify C; keep the nonzero blocks of W and add
     KKT violators, blocks outside it with ||U_i||_q > lam: all of them while
     W and they give at most SMALL_SYSTEM unknowns, else those whose
@@ -586,13 +589,14 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
     at tol P, or at the certificate's own rounding floor (_certificate)
     when that is larger.  The absolute loss's dual point starts at
     sign(Y); the squared loss's is always the residual.
-    Raises NonconvergenceError once max_iters Newton steps are spent; when
+    Raises NonconvergenceError, with the gap and bound times 2^k (the
+    caller's units), once max_iters Newton steps are spent; when
     no violator is left outside W (W certified, but the full certificate,
     its products rounded apart, did not); or when the restricted fit
     stopped uncertified or made no step and every violator was in its W:
     blocks it left at zero drop out of W and would re-enter, and the round
     would repeat.
-    Returns (C, Newton steps, objective, gap).
+    Returns (C, Newton steps, objective, gap, bound).
     """
     q = conjugate_exponent(p)
     theta = np.sign(y)
@@ -602,7 +606,7 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
     while True:
         gap, obj, u, bound = _certificate(g, a, y, c, lam, p, tol, loss, theta)
         if gap <= bound < math.inf:
-            return c, steps, obj, gap
+            return c, steps, obj, gap, bound
         work = work[np.abs(c[work]).max(axis=1) > 0.0]
         viol = block_norms(u, q)
         viol[work] = 0.0
@@ -613,6 +617,8 @@ def _working_set_fit(g, a, y, lam, p, loss, max_iters, tol, order):
             enter = order[peak & (along >= np.r_[along[1:], 0.0])]
             enter = enter[np.argsort(-viol[enter], kind="stable")][:max(16, work.size)]
         if steps >= max_iters or enter.size == 0 or (not progressed and last[enter].all()):
+            with np.errstate(over="ignore"):
+                gap, bound = np.ldexp([gap, bound], k).tolist()
             raise NonconvergenceError(
                 f"newton gap {gap:.3e} above tolerance {bound:.3e} "
                 f"after {steps} steps",
@@ -703,18 +709,21 @@ def fit_regularized(kernel: OperatorKernel, x, y: BlockVector,
     at most tol times the objective, or the certificate's own rounding
     floor where that is larger, and raises NonconvergenceError after
     max_iters Newton steps or when the answer, scaled back, is not finite.
-    meta.iterations counts those steps and meta.gap is the gap as computed.
+    meta.iterations counts those steps, meta.gap is the gap as computed and
+    meta.bound the bound it met; they and an error's numbers are in Y's units.
     """
     x, g, a = _design(kernel, x, y)
     (y_u, e), squared = _unit(y.blocks), cfg.loss == "squared"
     with np.errstate(over="ignore"):  # past _MAX, C = 0 is optimal anyway
         lam = min(float(np.ldexp(cfg.lam, -e)), _MAX) if squared else cfg.lam
-    c, steps, obj, gap = _working_set_fit(g, a, y_u, lam, kernel.p, cfg.loss,
-                                          cfg.max_iters, cfg.tol, np.argsort(x))
     k = 2 * e if squared else e
+    c, steps, obj, gap, bound = _working_set_fit(g, a, y_u, lam, kernel.p, cfg.loss,
+                                                 cfg.max_iters, cfg.tol, np.argsort(x), k)
     c, obj, gap = _scaled_back(steps, (c, e), (obj, k), (gap, k))
+    with np.errstate(over="ignore"):  # inf only where tol P overflows
+        bound = float(np.ldexp(bound, k))
     meta = {"solver": "working-set-newton", "loss": cfg.loss, "lam": cfg.lam,
-            "iterations": steps, "objective": float(obj), "gap": float(gap)}
+            "iterations": steps, "objective": float(obj), "gap": float(gap), "bound": bound}
     return _make_model(kernel, x, c, meta)
 
 

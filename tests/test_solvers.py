@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -715,6 +716,55 @@ def test_rounding_floor_never_certifies_above_floor_max():
         fit_regularized(EXP2, [-1.0, 0.0, 1.0], y, LearnConfig(lam=0.1, tol=1e-14))
 
 
+_PROBE_SPECS = {"wendland": gk.wendland(), "tfamily": gk.tfamily(1.0),
+                "exponential": gk.exponential((-2.0, 2.0))}
+
+
+@pytest.mark.parametrize("spec,data,p,frac", [
+    ("wendland", "set2", 1.0, 1e-5), ("wendland", "set2", 2.0, 1e-5),
+    ("wendland", "scale60", 2.0, 1e-5), ("tfamily", "set2", 1.0, 1e-6),
+    ("tfamily", "set2", 2.0, 1e-6), ("tfamily", "scale60", 1.0, 1e-5),
+    ("exponential", "set2", 1.0, 1e-6), ("exponential", "set2", 2.0, 1e-6),
+    ("exponential", "scale60", 1.0, 1e-5),
+], ids=lambda v: f"{v}")
+def test_the_floor_decides_at_every_tol(spec, data, p, frac):
+    # squared fits at lam = frac lam_max, with gaps of 1e-10 to 1e-9 P,
+    # within rounding of their certificate.  While the floor counted only
+    # for a tol below the default, the default tol certified less than
+    # 1e-12: the first eight of these exited 2 at it, and wendland on
+    # set 2 with p = 2 took 78 steps.  Now the floor decides wherever it
+    # can, so both tols stop at the same point
+    x, y = pinned_set(2, 50) if data == "set2" else scale_data(60)
+    spec = _PROBE_SPECS[spec]
+    lo, hi = spec.domain
+    x = lo + (hi - lo) * x
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=p)
+    g = gk.kernels.scalar_values(spec, x[:, None], x[None, :])
+    lam = frac * float(block_norms(g @ y, K.q).max())
+    default, tight = (fit_regularized(K, x, BlockVector(y, p),
+                                      LearnConfig(lam=lam, max_iters=400, **tol))
+                      for tol in ({}, {"tol": 1e-12}))
+    np.testing.assert_array_equal(default.coeffs.blocks, tight.coeffs.blocks)
+    assert default.meta["iterations"] == tight.meta["iterations"]
+    meta = default.meta
+    assert 1e-10 * meta["objective"] < meta["gap"] <= meta["bound"] <= 1e-9 * meta["objective"]
+
+
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+def test_meta_bound_is_tol_p_where_tol_decides(loss):
+    # the bound a fit's gap met is reported in Y's units, like meta.gap: at
+    # lam = 0.01 lam_max tol decides, and the bound is tol P exactly
+    x, y = scale_data(60)
+    K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=2)
+    g = gk.kernels.scalar_values(K.scalar, x[:, None], x[None, :])
+    for s in (1.0, 1e6):
+        ys = s * y
+        lam = 0.01 * float(block_norms(g @ (ys if loss == "squared" else np.sign(ys)), K.q).max())
+        cfg = LearnConfig(lam=lam, loss=loss)
+        meta = fit_regularized(K, x, BlockVector(ys, 2), cfg).meta
+        assert meta["gap"] <= meta["bound"] == cfg.tol * meta["objective"]
+
+
 def test_fit_budget_exhausted_raises():
     rng = np.random.default_rng(16)
     x = np.array([-1.5, -0.2, 0.8, 1.6])
@@ -917,6 +967,82 @@ def test_units_at_the_ends_of_the_float_range(solver, y_max, lam, outcome):
         assert not c.any() and model.meta["gap"] == 0.0 and model.meta["iterations"] == 0
     else:
         assert np.all(np.isfinite(c)) and c.any()
+
+
+@functools.cache
+def _exit_2(solver, k):
+    """The NonconvergenceError of one solver on Y 2^k: pursuit (tfamily
+    t = -1, 50 iterations) on scale_data(40) plus 25 extras; a p = 1
+    wendland fit on pinned set 2, absolute at tol 1e-13 or squared, with
+    lam scaled along, at tol 1e-16 in 3 steps."""
+    if solver == "pursuit":
+        x, y = scale_data(40)
+        K = gk.OperatorKernel(gk.tfamily(-1.0), gk.TaskCoupling.identity(2), p=2)
+        with pytest.raises(NonconvergenceError) as exc:
+            group_basis_pursuit(K, np.r_[x, np.linspace(0.03, 0.97, 25)], x,
+                                BlockVector(np.ldexp(y, k), 2), max_iters=50)
+        return exc.value
+    x, y = pinned_set(2, 50)
+    K = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=1)
+    if solver == "squared":
+        cfg = LearnConfig(lam=math.ldexp(0.02, k), tol=1e-16, max_iters=3)
+    else:
+        cfg = LearnConfig(lam=0.02, loss="absolute", tol=1e-13)
+    with pytest.raises(NonconvergenceError) as exc:
+        fit_regularized(K, x, BlockVector(np.ldexp(y, k), 1), cfg)
+    return exc.value
+
+
+@pytest.mark.parametrize("k", [-3, 5])
+@pytest.mark.parametrize("solver", ["squared", "absolute", "pursuit"])
+def test_errors_are_in_the_units_of_y(solver, k):
+    # the solvers run on Y 2^-e, the same bits at any power of two, and an
+    # error names its gap and bound, or its residuals, scaled back to Y's
+    # units: by 2^k, and by 2^2k for the squared gap and bound.  They were
+    # in units of 2^e, the same numbers at every k
+    base, exc = _exit_2(solver, 0), _exit_2(solver, k)
+    factor = 4.0 ** k if solver == "squared" else 2.0 ** k
+    assert exc.iterations == base.iterations
+    assert exc.residuals == tuple(v * factor for v in base.residuals)
+    numbers = [re.findall(r"\d\.\d{3}e[+-]\d+", str(e)) for e in (base, exc)]
+    assert len(numbers[0]) == len(numbers[1]) == 2
+    for before, after in zip(*numbers):
+        assert float(after) == pytest.approx(float(before) * factor, rel=2e-3)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+@pytest.mark.parametrize("spec", [gk.wendland(), gk.exponential((-2.0, 2.0))],
+                         ids=["wendland", "exponential"])
+def test_fit_ignores_reflection(spec, loss, p):
+    # both kernels depend on |x - y| alone, so the reflection
+    # x -> lo + hi - x maps the fit to itself: both certify, and their
+    # objectives agree within the sum of the certified gaps
+    x, y = scale_data(60)
+    lo, hi = spec.domain
+    x = lo + (hi - lo) * x
+    K = gk.OperatorKernel(spec, gk.TaskCoupling.identity(2), p=p)
+    g = gk.kernels.scalar_values(spec, x[:, None], x[None, :])
+    lam = 0.01 * float(block_norms(g @ (y if loss == "squared" else np.sign(y)), K.q).max())
+    cfg = LearnConfig(lam=lam, loss=loss)
+    a, b = (fit_regularized(K, xv, BlockVector(y, p), cfg).meta for xv in (x, lo + hi - x))
+    assert abs(a["objective"] - b["objective"]) <= a["gap"] + b["gap"]
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("loss", ["squared", "absolute"])
+def test_fit_follows_the_combination_weights(loss, p):
+    # combination(2, 2) has exactly twice the Gram of combination(1, 1), so
+    # C -> C / 2 maps its fit at lam to the other's at lam / 2, with the
+    # same objective: both certify, within the sum of the certified gaps
+    x, y = scale_data(60)
+    metas = []
+    for weight, scale in ((1.0, 0.5), (2.0, 1.0)):
+        K = gk.OperatorKernel(gk.combination(weight, weight), gk.TaskCoupling.identity(2), p=p)
+        lam = 0.01 * scale * float(block_norms(y, K.q).max())
+        metas.append(fit_regularized(K, x, BlockVector(y, p), LearnConfig(lam=lam, loss=loss)).meta)
+    a, b = metas
+    assert abs(a["objective"] - b["objective"]) <= a["gap"] + b["gap"]
 
 
 # ---------------------------------------------------------------------------
