@@ -12,6 +12,7 @@ import numpy as np
 
 import groupkernels as gk
 from groupkernels.blocklinalg import BlockVector
+from groupkernels.kernels import csv_text
 from groupkernels.solvers import LearnConfig, fit_regularized, min_norm_interpolant
 
 
@@ -27,20 +28,19 @@ def main():
     x = np.array([-1.5, -0.6, 0.3, 1.2])
     y = BlockVector(rng.standard_normal((4, 2)), 2)
 
-    lams = np.geomspace(1e-6, 10.0, 15)
-    rows = ["lambda,norm_lp1,objective"]
+    rows = []
     print(f"{'lambda':>12s} {'norm':>12s} {'objective':>12s}")
-    for lam in lams:
-        model = fit_regularized(kernel, x, y, LearnConfig(lam=float(lam), tol=1e-14))
+    for lam in np.geomspace(1e-6, 10.0, 15).tolist():
+        model = fit_regularized(kernel, x, y, LearnConfig(lam=lam, tol=1e-14))
         obj = model.meta["objective"]
-        rows.append(f"{float(lam)!r},{model.norm_lp1!r},{obj!r}")
+        rows.append((lam, model.norm_lp1, obj))
         print(f"{lam:12.3e} {model.norm_lp1:12.6f} {obj:12.6f}")
 
     exact = min_norm_interpolant(kernel, x, y)
     print(f"\nexact interpolant norm {exact.norm_lp1:.6f} "
           f"(the vanishing-penalty limit)")
     with open(args.out, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        fh.write(csv_text(["lambda", "norm_lp1", "objective"], rows))
     print(f"path written to {args.out}")
 
 

@@ -31,6 +31,7 @@ from .errors import DomainError, DuplicateCenterError, OrderError, ShapeError, S
 from .gridsearch import refine_max_rows, vdc_points
 from .kernels import (
     OperatorKernel,
+    csv_text,
     kernel_to_dict,
     require_in_domain,
     scalar_uniform_bound,
@@ -379,7 +380,5 @@ def scan_report_dict(kernel: OperatorKernel, cfg: CertificationConfig,
 
 def scan_rows_csv(rows) -> str:
     """CSV text of the (sets, 3) array of (m, trial, worst) rows, for plotting."""
-    lines = ["m,trial,worst_lambda"]
-    for m, trial, val in rows.tolist():
-        lines.append(f"{int(m)},{int(trial)},{val!r}")
-    return "\n".join(lines) + "\n"
+    return csv_text(["m", "trial", "worst_lambda"],
+                    zip(*rows[:, :2].astype(int).T.tolist(), rows[:, 2].tolist()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
@@ -250,12 +250,16 @@ def markov_solve(gaps: MarkovGaps, rhs: np.ndarray) -> np.ndarray:
 
 
 def _sweep(ratio: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """out_0 = d_0, out_k = ratio_{k-1} out_{k-1} + d_k, per column: forward
-    substitution with a unit lower bidiagonal matrix."""
-    out = np.empty_like(d)
-    for j in range(d.shape[1]):
-        r = iter(ratio.tolist())
-        out[:, j] = list(accumulate(d[:, j].tolist(), lambda acc, dk: next(r) * acc + dk))
+    """out_0 = d_0, out_k = ratio_{k-1} out_{k-1} + d_k, every column at
+    once: forward substitution with a unit lower bidiagonal matrix, as a
+    log-depth scan of the affine maps v -> a_k v + d_k (Hillis & Steele,
+    CACM 29(12), 1986).  After the pass of stride s, out_k sums the terms
+    of the 2s sites up to k and a_k is the product of their ratios; the
+    products telescope to p_j/p_k or q_j/q_k, so none overflows."""
+    out, a = d.copy(), np.r_[0.0, ratio]
+    for s in (1 << k for k in range((a.size - 1).bit_length())):
+        out[s:] += a[s:, None] * out[:-s]
+        a[s:] *= a[:-s]
     return out
 
 

@@ -123,11 +123,10 @@ def _model_json(model, args) -> str:
 
 
 def _predictions_csv(points: np.ndarray, preds: np.ndarray) -> str:
-    n = preds.shape[1]
-    lines = ["x," + ",".join(f"y{i}" for i in range(1, n + 1))]
-    for x, row in zip(points, preds):
-        lines.append(",".join([repr(float(x))] + [repr(float(v)) for v in row]))
-    return "\n".join(lines) + "\n"
+    import numpy as np
+    from . import kernels
+    header = ["x", *(f"y{i}" for i in range(1, preds.shape[1] + 1))]
+    return kernels.csv_text(header, np.column_stack([points, preds]).tolist())
 
 
 def _load_training(args, kernel):
@@ -151,7 +150,7 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from . import solvers
+    from . import kernels, solvers
     kernel = _build_kernel(args)
     x, y = _load_training(args, kernel)
     if args.lam is None and args.lambda_grid is None:
@@ -165,11 +164,9 @@ def _cmd_fit(args) -> int:
         return solvers.LearnConfig(lam=lam, **_given(args, "loss", "max_iters", "tol"))
 
     if args.lambda_grid is not None:
-        rows = ["lambda,norm_lp1,objective"]
-        for lam in args.lambda_grid:
-            m = solvers.fit_regularized(kernel, x, y, config(lam))
-            rows.append(f"{lam!r},{m.norm_lp1!r},{m.meta['objective']!r}")
-        _write_atomic(args.path_out, "\n".join(rows) + "\n")
+        fits = [solvers.fit_regularized(kernel, x, y, config(lam)) for lam in args.lambda_grid]
+        rows = [(lam, m.norm_lp1, m.meta["objective"]) for lam, m in zip(args.lambda_grid, fits)]
+        _write_atomic(args.path_out, kernels.csv_text(["lambda", "norm_lp1", "objective"], rows))
     if args.lam is not None:
         model = solvers.fit_regularized(kernel, x, y, config(args.lam))
         _write_atomic(args.out, _model_json(model, args))

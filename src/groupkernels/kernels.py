@@ -25,6 +25,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -299,20 +301,16 @@ def read_csv_rows(path):
     such as one with a field past its 131,072-character limit, raises
     DataFormatError naming the file and record; so does text that is not
     UTF-8, naming the file."""
-    numbers, rows = [], []
-    lineno = 0
+    records = []
     with open(path, newline="") as fh:
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if row:
-                    numbers.append(lineno)
-                    rows.append(row)
+            records.extend(csv.reader(fh))  # keeps the records before a failure
         except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {lineno + 1}: {exc}") from None
+            raise DataFormatError(f"{path}: row {len(records) + 1}: {exc}") from None
         except UnicodeDecodeError as exc:
             # exc.start counts from the decoder's current chunk, not the file
             raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return numbers, rows
+    return list(compress(count(1), records)), list(filter(None, records))
 
 
 def parse_cells(path, numbers, rows, columns) -> np.ndarray:
@@ -321,7 +319,7 @@ def parse_cells(path, numbers, rows, columns) -> np.ndarray:
     DataFormatError naming its record number and column label."""
     k = len(columns)
     try:
-        flat = [float(cell) for row in rows for cell in row[:k]]
+        flat = list(map(float, chain.from_iterable(map(itemgetter(slice(k)), rows))))
     except ValueError:
         # the fast path found a bad cell; name the first one
         for lineno, row in zip(numbers, rows):
@@ -335,6 +333,11 @@ def parse_cells(path, numbers, rows, columns) -> np.ndarray:
     table = np.array(flat).reshape(len(rows), k)
     require_finite(path, table, numbers, columns)
     return table
+
+
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows of Python numbers, each as its repr."""
+    return "\n".join([",".join(header), *map(",".join, map(map, repeat(repr), rows)), ""])
 
 
 def validate_centers(spec: ScalarKernelSpec, centers) -> np.ndarray:

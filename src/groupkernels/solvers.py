@@ -274,8 +274,8 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
     """Minimize the grouped coefficient norm over expansions supported on
     `centers` subject to interpolating y at `constraints_x`.
 
-    Solved by ADMM (_admm) on Y_t 2^-e (_unit, Y_t = Y A^-1), C and
-    meta.primal_residual scaled back by 2^e: projection onto the affine
+    Solved by ADMM (_admm) on Y_t 2^-e (_unit, Y_t = Y A^-1), C and both
+    meta residuals scaled back by 2^e: projection onto the affine
     constraint set alternating with the grouped shrinkage.  It starts at
     the site interpolant and the dual u = g_c^T theta, a subgradient of the
     norm there at the sites: ADMM's fixed point (iteration 1) if
@@ -324,9 +324,9 @@ def group_basis_pursuit(kernel: OperatorKernel, centers, constraints_x,
         u = g_c.T @ np.linalg.solve(g_s.T, v)
     (c,), _, it, r, s, rho = _admm(project, [lambda v, rho: _shrink(v, 1.0 / rho, p)],
                                    [z], [u], max_iters, PURSUIT_TOL, "basis pursuit", e)
-    c, r = _scaled_back(it, (c, e), (r, e))
+    c, r, s = _scaled_back(it, (c, e), (r, e), (s, e))
     meta = {"solver": "admm-basis-pursuit", "iterations": it, "primal_residual": float(r),
-            "dual_residual": s, "rho": rho, "p": p}
+            "dual_residual": float(s), "rho": rho, "p": p}
     return _make_model(kernel, cen, c, meta)
 
 

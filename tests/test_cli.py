@@ -20,6 +20,7 @@ from groupkernels.admissibility import CertificationConfig
 from groupkernels.cli import build_parser, run
 from groupkernels.solvers import (
     LearnConfig,
+    fit_regularized,
     group_basis_pursuit,
     min_norm_interpolant,
     model_from_dict,
@@ -109,6 +110,12 @@ def test_fit_lambda_grid_path(tmp_path):
     assert len(lines) == 4
     norms = [float(l.split(",")[1]) for l in lines[1:]]
     assert norms[0] >= norms[-1]  # heavier penalty, smaller coefficients
+    # each line is the repr of the same fit run in-process
+    K = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.identity(1), p=2)
+    y = BlockVector(np.array([[1.0], [-2.0], [0.5]]), 2)
+    for line, lam in zip(lines[1:], (1e-3, 1e-2, 1e-1)):
+        m = fit_regularized(K, np.array([0.2, 0.5, 0.8]), y, LearnConfig(lam=lam))
+        assert line == f"{lam!r},{m.norm_lp1!r},{m.meta['objective']!r}"
 
 
 def test_fit_absolute_loss(tmp_path):
@@ -487,6 +494,10 @@ _DEEP_JSON = "[" * 200_000 + "]" * 200_000
     ("data.csv", "x,y1\n0.5," + "1" * 131_073 + "\n", "row 2: field larger than field limit"),
     ("coupling.csv", "1" * 131_073 + "\n", "row 1: field larger than field limit"),
     ("points.csv", "x\n0.5\n" + "1" * 131_073 + "\n", "row 3: field larger than field limit"),
+    # the record number, not the physical line (6): a blank record and a
+    # quoted cell holding a newline come first
+    ("points.csv", 'x\n0.5\n\n0.7,"a\nb"\n' + "1" * 131_073 + "\n",
+     "row 5: field larger than field limit"),
     ("model.json", _DEEP_JSON, "JSON nested too deeply to parse"),
     ("kernel.json", _DEEP_JSON, "JSON nested too deeply to parse"),
     ("data.csv", b"x,y1\n0.5,1\xff\n", "not UTF-8 text (invalid start byte)"),
@@ -494,7 +505,8 @@ _DEEP_JSON = "[" * 200_000 + "]" * 200_000
     ("model.json", '{"centers":\n', "not JSON: Expecting value: line 2 column 1"),
     ("kernel.json", b'{"family": "\xff"}', "not JSON: 'utf-8' codec can't decode"),
 ], ids=["training cell past the field limit", "coupling cell past the field limit",
-        "points cell past the field limit", "deep model JSON", "deep kernel JSON",
+        "points cell past the field limit", "points cell past the field limit after a newline",
+        "deep model JSON", "deep kernel JSON",
         "training CSV not UTF-8", "points CSV not UTF-8", "truncated model JSON",
         "kernel JSON not UTF-8"])
 def test_parser_failures_exit_1_naming_the_file(tmp_path, name, text, fragment):

@@ -863,7 +863,8 @@ _EXACT = {"squared": [-700, -540, 500], "absolute": [-700, -500, 500, 700],
 
 @functools.cache
 def _scaled_answer(solver, s, turn):
-    """Coefficients over s, support, objective or norm and certified gap
+    """Coefficients over s, support (for pursuit, its primal and dual
+    residuals, in the units of s Y), objective or norm and certified gap
     (divided back by the factor the objective takes: s^2 for the squared
     loss, whose lam scales with Y, s for the absolute loss and pursuit) and
     step count of one solver on scale_data with Y -> s Y (turned by _TURN
@@ -873,7 +874,8 @@ def _scaled_answer(solver, s, turn):
         K = gk.OperatorKernel(gk.tfamily(-1.0), gk.TaskCoupling.identity(2), p=2)
         extras = np.linspace(0.03, 0.97, 25)
         model = group_basis_pursuit(K, np.r_[x, extras], x, BlockVector(s * y, 2))
-        return model.coeffs.blocks / s, None, model.norm_lp1 / s, 0.0, model.meta["iterations"]
+        residuals = [model.meta["primal_residual"], model.meta["dual_residual"]]
+        return model.coeffs.blocks / s, residuals, model.norm_lp1 / s, 0.0, model.meta["iterations"]
     loss, p = solver
     x, y = scale_data(60)
     y = s * (y @ _TURN if turn else y)
@@ -915,6 +917,9 @@ def test_answers_do_not_depend_on_the_units_of_y(solver, s, turn):
     if math.frexp(s)[0] == 0.5 and not turn:
         np.testing.assert_array_equal(coeffs, base_coeffs)
         assert steps == base_steps
+        if solver == "pursuit":
+            # rounded once where s 2^-1000 makes them subnormal, as s * base is
+            assert support == [s * r for r in base_support]
         return
     if solver == "pursuit":
         assert abs(value - base_value) <= 1e-10 * base_value
