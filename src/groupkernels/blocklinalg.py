@@ -236,17 +236,21 @@ def _precision(gaps: MarkovGaps):
     return (inner + outer) / gaps.diag, 1.0 / gaps.det
 
 
-def markov_solve(gaps: MarkovGaps, rhs: np.ndarray) -> np.ndarray:
-    """G^{-1} rhs by the closed-form tridiagonal precision, in O(m n); the
-    rows of rhs and of the result are in the caller's site order."""
+def markov_solve(gaps: MarkovGaps, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(G^{-1} rhs, ||G^{-1}||_1) by the closed-form tridiagonal precision,
+    in O(m n): its 1-norm is the largest column sum of |G^{-1}|.  The rows
+    of rhs and of the result are in the caller's site order."""
     diag, off = _precision(gaps)
+    cols = np.abs(diag)
+    cols[:-1] += off
+    cols[1:] += off
     rhs = rhs[gaps.order]
     z = diag[:, None] * rhs
     z[:-1] -= off[:, None] * rhs[1:]
     z[1:] -= off[:, None] * rhs[:-1]
     out = np.empty_like(z)
     out[gaps.order] = z
-    return out
+    return out, float(cols.max())
 
 
 def _sweep(ratio: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -283,19 +287,6 @@ def markov_eval(spec: ScalarKernelSpec, gaps: MarkovGaps, d: np.ndarray,
         g = scalar_values(spec, queries[ok], gaps.sites[nb[ok]])
         out[ok] += g[:, None] * rows[nb[ok]]
     return out
-
-
-def markov_cond(spec: ScalarKernelSpec, gaps: MarkovGaps) -> float:
-    """Exact 1-norm condition number of the Gram in O(m): the entries of
-    G are positive, so ||G||_1 is the largest entry of G 1, and G^{-1} is
-    tridiagonal."""
-    ones = np.ones((gaps.sites.size, 1))
-    g_norm = float(markov_eval(spec, gaps, ones, gaps.sites).max())
-    diag, off = _precision(gaps)
-    cols = np.abs(diag)
-    cols[:-1] += off
-    cols[1:] += off
-    return g_norm * float(cols.max())
 
 
 def block_inverse_2x2(A, B, C, D):

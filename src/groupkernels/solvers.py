@@ -23,7 +23,6 @@ from .blocklinalg import (
     gram_solve,
     gram_stack,
     lp1_norm,
-    markov_cond,
     markov_eval,
     markov_solve,
     nonsingular,
@@ -125,10 +124,11 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
     solve with the dense Gram.  Either way the fit is checked: a residual
     max|G C A - Y| above INTERP_RESIDUAL_RTOL max|Y|, or a condition number
     of G (meta.cond) above INTERP_COND_MAX, raises SingularError:
-    gram_assemble's exact 2-norm one, or markov_cond's exact 1-norm one,
-    which is never smaller for a symmetric G.  When the kernel passes the
-    stability certification this expansion is the minimal grouped-norm
-    interpolant among all expansions anywhere.
+    gram_assemble's exact 2-norm one, or the Markov path's exact 1-norm
+    one, never smaller for a symmetric G, from the solve's precision and
+    the residual's evaluation.  When the kernel passes the stability
+    certification this expansion is the minimal grouped-norm interpolant
+    among all expansions anywhere.
     """
     spec, coupling = kernel.scalar, kernel.coupling
     x = validate_centers(spec, x)
@@ -141,9 +141,12 @@ def min_norm_interpolant(kernel: OperatorKernel, x, y: BlockVector) -> FitModel:
         coeffs, fitted = c.blocks, gram_apply(system, c).blocks
         cond, solver = system.cond, "exact-gram"
     else:
-        coeffs = markov_solve(gaps, y.blocks) @ coupling.A_inv
-        fitted = markov_eval(spec, gaps, coeffs @ coupling.A, x)
-        cond, solver = markov_cond(spec, gaps), "markov-precision"
+        z, inv_norm = markov_solve(gaps, y.blocks)
+        coeffs = z @ coupling.A_inv
+        # G [C A, 1]: the fit, and ||G||_1 = max(G 1) as G > 0 entrywise
+        fitted = markov_eval(spec, gaps, np.c_[coeffs @ coupling.A, np.ones(x.size)], x)
+        fitted, g_ones = fitted[:, :-1], fitted[:, -1]
+        cond, solver = float(g_ones.max()) * inv_norm, "markov-precision"
     resid = float(np.abs(fitted - y.blocks).max())
     scale = float(np.abs(y.blocks).max())
     if not (resid <= INTERP_RESIDUAL_RTOL * scale and cond <= INTERP_COND_MAX):
@@ -439,9 +442,10 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
     curvature is the loss Hessian kron(X^T X, A A) for the squared loss and
     the Jacobian J = kron(X, A^T) of vec(X C A) for the absolute loss, whose
     Hessian J^T diag(weights) J changes with every step.
-    With mu > 0 (centering) each step backtracks to sufficient decrease, and
-    the method stops once the squared Newton decrement is at most mu / 10
-    or, where the objective cannot resolve less, 64 eps |value|.
+    With mu > 0 (centering) each step backtracks to a strict sufficient
+    decrease, so a step rounding leaves at the same value never repeats,
+    and the method stops once the squared Newton decrement is at most
+    mu / 10 or, where the objective cannot resolve less, 64 eps |value|.
     With mu = 0 (polishing, every free cone nonzero) it takes full steps
     while the gradient norm falls and the objective does not rise beyond
     rounding: near the optimum that converges quadratically down to
@@ -509,7 +513,7 @@ def _newton(x, a, y, c, lam, mu, d, loss, curvature, free, budget):
                     and new[0] <= value + 64.0 * _EPS * abs(value)):
                 break
         else:
-            while not new[0] <= value - 0.25 * t * dec:
+            while not new[0] < value - 0.25 * t * dec:
                 t *= 0.5
                 if t < 1e-12:
                     return c, steps, theta

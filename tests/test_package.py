@@ -1,8 +1,15 @@
 import importlib
+import math
+import re
 
+import numpy as np
 import pytest
 
 import groupkernels as gk
+from groupkernels.blocklinalg import BlockVector, coupling_opnorm
+from groupkernels.errors import ShapeError
+from groupkernels.gridsearch import vdc_points
+from groupkernels.solvers import LearnConfig
 
 # the names the package exported when it imported every module eagerly,
 # by the module that defines each
@@ -47,3 +54,26 @@ def test_star_import_binds_the_exports_and_modules():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         gk.no_such_name
+
+
+_K2 = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(2), p=2)
+_SITES = [0.1, 0.5, 0.9]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # a 1-d y reads as one-dimensional blocks
+    (lambda: gk.min_norm_interpolant(_K2, _SITES, BlockVector([1.0, 2.0, 3.0], 2)),
+     ShapeError, "expected 3 blocks of dimension 2, got 3 of 1"),
+    (lambda: gk.group_basis_pursuit(_K2, _SITES, _SITES[:2], BlockVector(np.ones((3, 2)), 2)),
+     ShapeError, "expected 2 blocks of dimension 2, got 3 of 2"),
+    (lambda: gk.fit_regularized(_K2, _SITES, BlockVector(np.ones((2, 2)), 2),
+                                LearnConfig(lam=0.1)),
+     ShapeError, "expected 3 blocks of dimension 2"),
+    (lambda: BlockVector(np.zeros((2, 2, 2)), 2), ShapeError, "ndim 3"),
+    (lambda: coupling_opnorm(np.eye(21), math.inf), ValueError, "n <= 20"),
+    (lambda: vdc_points(0.0, 1.0, 0), ValueError, "grid size"),
+    (lambda: gk.ScalarKernelSpec("combination", weights=(1.0, 2.0, 3.0)), ValueError, "pair"),
+], ids=["interpolant", "pursuit", "fit", "blocks", "opnorm", "vdc", "weights"])
+def test_each_module_rejects_a_malformed_call(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
