@@ -33,6 +33,7 @@ from .kernels import (
     OperatorKernel,
     csv_text,
     kernel_to_dict,
+    outside,
     require_in_domain,
     scalar_uniform_bound,
     scalar_values,
@@ -129,7 +130,7 @@ def det_tfamily_closed_form(centers, t: float) -> float:
     arr = np.atleast_1d(np.asarray(centers, dtype=float))
     if arr.size == 0:
         raise ShapeError("at least one center is required")
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if outside(arr, (0.0, 1.0)) is not None:
         raise DomainError("centers must lie in the open interval (0, 1)")
     if arr.size > 1 and np.any(np.diff(arr) <= 0.0):
         raise OrderError("centers must be strictly increasing")

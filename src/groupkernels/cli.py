@@ -303,6 +303,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "deterministic", False) and "numpy" not in sys.modules:
+            # a threaded BLAS sums in an order set by its thread count, read as numpy loads
+            os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                             "MKL_NUM_THREADS"), "1"))
         import numpy as np
         # numpy would print a RuntimeWarning line for an overflow before the
         # one error line; the commands check their results for non-finite values

@@ -272,15 +272,33 @@ def markov_gaps(spec: ScalarKernelSpec, sites) -> MarkovGaps | None:
                       h, h / (x[1:] * q[:-1]))
 
 
+def outside(x, domain) -> int | None:
+    """The flat index of the first entry of x not strictly inside the open
+    interval domain = (lo, hi), NaN included, or None."""
+    lo, hi = domain
+    inside = (x > lo) & (x < hi)
+    return None if inside.all() else int(np.argmin(inside.ravel()))
+
+
+def first_repeat(x) -> tuple[int, int] | None:
+    """(i, j): j the first flat index of x to repeat an earlier value, i that
+    value's first index (0.0 equals -0.0), or None.  A stable sort puts equal
+    values side by side in index order (np.unique would load numpy.ma)."""
+    x = np.ravel(x)
+    order = np.argsort(x, kind="stable")
+    k = np.flatnonzero(x[order[1:]] == x[order[:-1]])
+    if not k.size:
+        return None
+    k = k[np.argmin(order[k + 1])]  # the earliest repeat, second in its run
+    return int(order[k]), int(order[k + 1])
+
+
 def require_in_domain(spec: ScalarKernelSpec, points, what: str = "point") -> np.ndarray:
     """Return points as a float array, raising DomainError if any lies
     outside the open interval."""
     pts = np.asarray(points, dtype=float)
-    lo, hi = spec.domain
-    inside = (pts > lo) & (pts < hi)
-    if not np.all(inside):
-        bad = np.atleast_1d(pts)[~np.atleast_1d(inside)][:1]
-        raise DomainError(f"{what} {float(bad[0])!r} outside open domain ({lo}, {hi})")
+    if (i := outside(pts, spec.domain)) is not None:
+        raise DomainError(f"{what} {float(pts.flat[i])!r} outside open domain {spec.domain}")
     return pts
 
 
@@ -342,20 +360,14 @@ def csv_text(header, rows) -> str:
 
 def validate_centers(spec: ScalarKernelSpec, centers) -> np.ndarray:
     """Check centers are nonempty, in-domain and pairwise distinct; returns an array."""
-    arr = require_in_domain(spec, centers, what="center")
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(require_in_domain(spec, centers, what="center"))
     if arr.size == 0:
         raise ShapeError("at least one center is required")
-    if not distinct(arr):
-        raise DuplicateCenterError("centers must be pairwise distinct")
+    if (repeat := first_repeat(arr)) is not None:
+        i, j = repeat
+        raise DuplicateCenterError(f"centers must be pairwise distinct: center {j + 1} "
+                                   f"({float(arr.flat[j])!r}) repeats center {i + 1}")
     return arr
-
-
-def distinct(values: np.ndarray) -> bool:
-    """Whether the entries of a 1-d array are pairwise distinct, by sorting
-    (np.unique loads numpy.ma on its first call)."""
-    ordered = np.sort(values)
-    return not bool((ordered[1:] == ordered[:-1]).any())
 
 
 @dataclass(frozen=True)
@@ -449,13 +461,6 @@ class OperatorKernel:
 def conjugate_exponent(p: float) -> float:
     """q with 1/p + 1/q = 1 for p >= 1: inf at p = 1 and 1 at p = inf."""
     return math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
-
-
-def eval_scalar(spec: ScalarKernelSpec, x: float, y: float) -> float:
-    """Closed-form scalar kernel value G(x, y); symmetric in (x, y)."""
-    require_in_domain(spec, x)
-    require_in_domain(spec, y)
-    return float(scalar_values(spec, x, y))
 
 
 # ---------------------------------------------------------------------------

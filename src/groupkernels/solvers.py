@@ -37,13 +37,14 @@ from .errors import (
 from .kernels import (
     OperatorKernel,
     conjugate_exponent,
-    distinct,
+    first_repeat,
     json_array,
     json_field,
     json_number,
     kernel_from_dict,
     kernel_to_dict,
     markov_gaps,
+    outside,
     parse_cells,
     read_csv_rows,
     require_in_domain,
@@ -177,11 +178,6 @@ def predict_many(model: FitModel, queries) -> np.ndarray:
         e = scalar_values(spec, q[start:start + PREDICT_CHUNK, None], model.centers[None, :])
         out[start:start + PREDICT_CHUNK] = (e @ model.coeffs.blocks) @ a
     return out
-
-
-def predict(model: FitModel, query: float) -> np.ndarray:
-    """Expansion value at one query, as an n-vector."""
-    return predict_many(model, [float(query)])[0]
 
 
 def block_soft_threshold(z: BlockVector, tau: float, p: float | None = None) -> BlockVector:
@@ -773,16 +769,13 @@ def model_from_dict(data: dict) -> FitModel:
             f"model coefficients have shape {blocks.shape}, expected "
             f"({centers.size}, {kernel.n}) for {centers.size} centers and n={kernel.n}"
         )
-    lo, hi = kernel.scalar.domain
-    outside = ~((centers > lo) & (centers < hi))
-    if outside.any():
-        i = int(np.argmax(outside))
-        raise DataFormatError(
-            f"model center {i + 1} ({float(centers[i])!r}) is not a finite point of the "
-            f"open domain ({lo}, {hi})"
-        )
-    if not distinct(centers):
-        raise DataFormatError("model centers must be pairwise distinct")
+    if (i := outside(centers, kernel.scalar.domain)) is not None:
+        raise DataFormatError(f"model center {i + 1} ({float(centers[i])!r}) is not a finite "
+                              f"point of the open domain {kernel.scalar.domain}")
+    if (repeat := first_repeat(centers)) is not None:
+        i, j = repeat
+        raise DataFormatError(f"model centers must be pairwise distinct: center {j + 1} "
+                              f"({float(centers[j])!r}) repeats center {i + 1}")
     if not np.all(np.isfinite(blocks)):
         raise DataFormatError("model coefficients must be finite")
     model = _make_model(kernel, centers, blocks, json_field(data, "meta", dict, src, {}))
@@ -795,16 +788,10 @@ def model_from_dict(data: dict) -> FitModel:
 def _require_x_in_domain(path, x: np.ndarray, linenos, domain) -> None:
     """With an open interval domain=(lo, hi), reject the first x outside
     it, naming its row, the column x and the value."""
-    if domain is None:
-        return
-    lo, hi = domain
-    outside = np.flatnonzero((x <= lo) | (x >= hi))
-    if outside.size:
-        i = outside[0]
-        raise DataFormatError(
-            f"{path}: row {linenos[i]}, column x: value {float(x[i])!r} outside "
-            f"open domain ({lo}, {hi})"
-        )
+    if domain is not None and (i := outside(x, domain)) is not None:
+        lo, hi = domain
+        raise DataFormatError(f"{path}: row {linenos[i]}, column x: value {float(x[i])!r} "
+                              f"outside open domain ({lo}, {hi})")
 
 
 def read_training_csv(path, domain=None):
@@ -828,13 +815,13 @@ def read_training_csv(path, domain=None):
     if len(rows) == 1:
         raise DataFormatError(f"{path}: no data rows")
     table = parse_cells(path, numbers[1:], rows[1:], header)
-    _require_x_in_domain(path, table[:, 0], numbers[1:], domain)
-    first = {}  # row of each x
-    for lineno, v in zip(numbers[1:], table[:, 0].tolist()):
-        if first.setdefault(v, lineno) != lineno:
-            raise DataFormatError(
-                f"{path}: rows {first[v]} and {lineno}, column x: repeated value {v!r}")
-    return np.ascontiguousarray(table[:, 0]), np.ascontiguousarray(table[:, 1:])
+    x = table[:, 0]
+    _require_x_in_domain(path, x, numbers[1:], domain)
+    if (repeat := first_repeat(x)) is not None:
+        i, j = repeat
+        raise DataFormatError(f"{path}: rows {numbers[i + 1]} and {numbers[j + 1]}, column x: "
+                              f"repeated value {float(x[j])!r}")
+    return np.ascontiguousarray(x), np.ascontiguousarray(table[:, 1:])
 
 
 def read_points_csv(path, domain=None) -> np.ndarray:

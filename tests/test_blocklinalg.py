@@ -117,7 +117,7 @@ def test_gram_assemble_examples():
     S = gram_assemble(K, [0.2, 0.5])
     np.testing.assert_allclose(S.G, [[0.16, 0.10], [0.10, 0.25]], atol=1e-15)
     S1 = gram_assemble(K, [0.3])
-    np.testing.assert_allclose(S1.G, [[gk.eval_scalar(K.scalar, 0.3, 0.3)]])
+    np.testing.assert_allclose(S1.G, [[gk.kernels.scalar_values(K.scalar, 0.3, 0.3)]])
     Kw = gk.OperatorKernel(gk.wendland(), gk.TaskCoupling.identity(1), p=2)
     Sw = gram_assemble(Kw, [0.1, 0.9])
     assert Sw.G[0, 1] == pytest.approx(0.2, rel=1e-15)

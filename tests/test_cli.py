@@ -27,7 +27,7 @@ from groupkernels.solvers import (
     predict_many,
 )
 
-from helpers import scale_data
+from helpers import pinned_set, scale_data
 
 
 @pytest.fixture
@@ -364,6 +364,32 @@ def test_predict_rejects_invalid_model(tmp_path, capsys, tamper, fragment):
     assert run(["predict", "--model", str(model), "--points", str(pts), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "DataFormatError" in err and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pursuit", "predict"])
+def test_a_repeated_center_names_its_value_and_both_positions(tmp_path, capsys, command):
+    # both said only "centers must be pairwise distinct"
+    train, pts, model = tmp_path / "train.csv", tmp_path / "pts.csv", tmp_path / "model.json"
+    train.write_text("x,y1\n0.2,1.0\n0.4,2.0\n0.7,0.5\n")
+    pts.write_text("x\n0.3\n")
+    kernel = ["--kernel", "wendland", "--coupling", "identity:1", "--data", str(train)]
+    assert run(["interpolate", *kernel, "--out", str(model)]) == 0
+    data = json.loads(model.read_text())
+    data["centers"][2] = 0.2
+    model.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "pursuit":
+        assert run(["pursuit", *kernel, "--extra-centers", "0.9,0.4", "--out", str(out)]) == 1
+        message = "DuplicateCenterError: centers must be pairwise distinct: center 5 (0.4)"
+        message += " repeats center 2"
+    else:
+        assert run(["predict", "--model", str(model), "--points", str(pts),
+                    "--out", str(out)]) == 1
+        message = "DataFormatError: model centers must be pairwise distinct: center 3 (0.2)"
+        message += " repeats center 1"
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
 
 
@@ -711,6 +737,34 @@ def test_overflowing_fit_prints_one_error_line(tmp_path, loss):
     assert proc.returncode == (2 if loss == "squared" else 0)
     assert out.exists() == (loss == "absolute")
     _assert_clean_exit(proc.returncode, proc.stderr, out)
+
+
+def test_deterministic_bytes_at_any_blas_thread_count(tmp_path):
+    # a threaded BLAS sums in an order set by its thread count: under 1 and 2
+    # threads the dense interpolant, the absolute fit and pursuit wrote
+    # different files.  The count is read as numpy loads, so each command
+    # runs in a fresh interpreter, both thread counts side by side
+    for name, (set_id, m) in {"t400": (1, 400), "t50": (2, 50), "t100": (3, 100)}.items():
+        x, y = pinned_set(set_id, m)
+        (tmp_path / f"{name}.csv").write_text(
+            gk.kernels.csv_text(["x", "y1", "y2"], np.column_stack([x, y]).tolist()))
+    x100 = pinned_set(3, 100)[0]
+    extra = ",".join(map(repr, ((x100 + np.append(x100[1:], 1.0)) / 2).tolist()))
+    commands = {"interpolate": ["interpolate", "--data", "t400.csv"],
+                "fit": ["fit", "--loss", "absolute", "--lambda", "0.1", "--data", "t50.csv"],
+                "pursuit": ["pursuit", "--extra-centers", extra, "--data", "t100.csv"]}
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    for name, argv in commands.items():
+        procs = [subprocess.Popen([sys.executable, "-m", "groupkernels.cli", *argv, "--kernel",
+                                   "wendland", "--coupling", "identity:2", "--deterministic",
+                                   "--out", f"{name}{threads}.json"],
+                                  cwd=tmp_path, env={**env, "OPENBLAS_NUM_THREADS": threads})
+                 for threads in ("1", "2")]
+        assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+        one, two = (tmp_path / f"{name}{threads}.json" for threads in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes(), name
 
 
 _TFAMILY = ["--kernel", "tfamily", "--t", "1.0", "--coupling", "identity:1"]

@@ -9,19 +9,19 @@ import groupkernels as gk
 from groupkernels.blocklinalg import coupling_opnorm
 from groupkernels.errors import DataFormatError, DomainError
 from groupkernels.gridsearch import vdc_points
-from groupkernels.kernels import scalar_uniform_bound, scalar_values
+from groupkernels.kernels import require_in_domain, scalar_uniform_bound, scalar_values
 
 unit_interior = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True,
                           allow_nan=False, allow_infinity=False)
 t_values = st.floats(-1.0, 1.0, allow_nan=False)
 
 
-def test_eval_scalar_examples():
-    assert gk.eval_scalar(gk.tfamily(1.0), 0.25, 0.5) == pytest.approx(0.125, abs=0)
-    assert gk.eval_scalar(gk.wendland(), 0.37, 0.37) == 1.0
-    assert gk.eval_scalar(gk.exponential(), 1.0, 1.0) == 1.0
+def test_scalar_values_examples():
+    assert scalar_values(gk.tfamily(1.0), 0.25, 0.5) == pytest.approx(0.125, abs=0)
+    assert scalar_values(gk.wendland(), 0.37, 0.37) == 1.0
+    assert scalar_values(gk.exponential(), 1.0, 1.0) == 1.0
     # t=0 member is the covariance min{x,y}
-    assert gk.eval_scalar(gk.tfamily(0.0), 0.3, 0.7) == pytest.approx(0.3, abs=0)
+    assert scalar_values(gk.tfamily(0.0), 0.3, 0.7) == pytest.approx(0.3, abs=0)
 
 
 def test_brownian_bridge_is_t1_member():
@@ -34,8 +34,8 @@ def test_brownian_bridge_is_t1_member():
 @given(unit_interior, unit_interior, t_values)
 def test_tfamily_symmetry_and_bound(x, y, t):
     spec = gk.tfamily(t)
-    assert gk.eval_scalar(spec, x, y) == gk.eval_scalar(spec, y, x)
-    assert abs(gk.eval_scalar(spec, x, y)) <= 2.0
+    assert scalar_values(spec, x, y) == scalar_values(spec, y, x)
+    assert abs(scalar_values(spec, x, y)) <= 2.0
 
 
 @pytest.mark.parametrize("spec", [
@@ -86,19 +86,19 @@ def test_uniform_bound_sampled(spec):
 def test_combination_linearity(x, y, c1, c2, t):
     if c1 + c2 <= 0:
         return
-    combo = gk.eval_scalar(gk.combination(c1, c2, t=t), x, y)
-    parts = c1 * gk.eval_scalar(gk.tfamily(t), x, y) + c2 * gk.eval_scalar(gk.wendland(), x, y)
+    combo = scalar_values(gk.combination(c1, c2, t=t), x, y)
+    parts = c1 * scalar_values(gk.tfamily(t), x, y) + c2 * scalar_values(gk.wendland(), x, y)
     assert combo == pytest.approx(parts, abs=1e-15)
 
 
 def test_domain_errors():
     spec = gk.tfamily(1.0)
     with pytest.raises(DomainError):
-        gk.eval_scalar(spec, 0.0, 0.5)  # endpoint is outside the open interval
+        require_in_domain(spec, [0.0, 0.5])  # endpoint is outside the open interval
     with pytest.raises(DomainError):
-        gk.eval_scalar(spec, 0.5, 1.0)
+        require_in_domain(spec, [0.5, 1.0])
     with pytest.raises(DomainError):
-        gk.eval_scalar(gk.exponential((-2.0, 2.0)), -2.0, 0.0)
+        require_in_domain(gk.exponential((-2.0, 2.0)), [-2.0, 0.0])
 
 
 def test_spec_validation():

@@ -21,11 +21,11 @@ EXPORTS = {
     "errors": ["DataFormatError", "DomainError", "DuplicateCenterError", "GroupKernelsError",
                "NonconvergenceError", "OrderError", "RankError", "ShapeError", "SingularError"],
     "kernels": ["OperatorKernel", "ScalarKernelSpec", "TaskCoupling", "brownian_bridge",
-                "combination", "custom", "eval_scalar", "exponential", "kernel_from_dict",
-                "kernel_to_dict", "tfamily", "wendland"],
+                "combination", "custom", "exponential", "kernel_from_dict", "kernel_to_dict",
+                "tfamily", "wendland"],
     "solvers": ["FitModel", "LearnConfig", "block_soft_threshold", "expansion_sup_norm",
                 "fit_admm", "fit_regularized", "group_basis_pursuit", "min_norm_interpolant",
-                "model_from_dict", "model_to_dict", "predict", "predict_many"],
+                "model_from_dict", "model_to_dict", "predict_many"],
 }
 MODULES = ["admissibility", "blocklinalg", "errors", "gridsearch", "kernels", "solvers"]
 

@@ -2,12 +2,14 @@ import functools
 import json
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import groupkernels as gk
@@ -16,11 +18,13 @@ from groupkernels.errors import (
     DataFormatError,
     DomainError,
     DuplicateCenterError,
+    GroupKernelsError,
     NonconvergenceError,
     RankError,
     ShapeError,
     SingularError,
 )
+from groupkernels.kernels import kernel_to_dict, require_in_domain, validate_centers
 from groupkernels.solvers import (
     INTERP_COND_MAX,
     INTERP_RESIDUAL_RTOL,
@@ -34,7 +38,6 @@ from groupkernels.solvers import (
     min_norm_interpolant,
     model_from_dict,
     model_to_dict,
-    predict,
     predict_many,
     read_points_csv,
     read_training_csv,
@@ -98,17 +101,17 @@ def test_interpolation_residual():
 
 def test_predict_examples():
     zero = min_norm_interpolant(BRIDGE1, [0.5], BlockVector([[0.0]], 2))
-    np.testing.assert_array_equal(predict(zero, 0.77), [0.0])
+    np.testing.assert_array_equal(predict_many(zero, [0.77]), [[0.0]])
 
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
     K = gk.OperatorKernel(gk.tfamily(1.0), gk.TaskCoupling.from_matrix(A), p=2)
     c = np.array([0.3, -0.7])
     model = min_norm_interpolant(
         K, [0.5], BlockVector((0.25 * A @ c)[None, :], 2))
-    expected = gk.eval_scalar(K.scalar, 0.5, 0.25) * (A @ c)
-    np.testing.assert_allclose(predict(model, 0.25), expected, rtol=1e-9)
+    expected = gk.kernels.scalar_values(K.scalar, 0.5, 0.25) * (A @ c)
+    np.testing.assert_allclose(predict_many(model, 0.25), [expected], rtol=1e-9)
     with pytest.raises(DomainError):
-        predict(model, 1.0)
+        predict_many(model, [0.25, 1.0])
 
 
 MARKOV_SPECS = [
@@ -1138,7 +1141,7 @@ def test_expansion_sup_norm_unbounded_domain():
     K = gk.OperatorKernel(gk.exponential(), gk.TaskCoupling.identity(1), p=2)
     model = min_norm_interpolant(K, [0.0, 2.0], BlockVector([[1.0], [1.0]], 2))
     v = expansion_sup_norm(model, 256)
-    probe = max(float(np.abs(predict(model, t)).max()) for t in np.linspace(-3, 5, 400))
+    probe = float(np.abs(predict_many(model, np.linspace(-3, 5, 400))).max())
     assert v >= probe - 1e-9
 
 
@@ -1332,3 +1335,88 @@ def test_read_points_csv(tmp_path):
     bad.write_text("t\n0.1\n")
     with pytest.raises(DataFormatError):
         read_points_csv(bad)
+
+
+_SITE_SPECS = [gk.wendland(), gk.exponential((-2.0, 2.0)), gk.exponential()]
+
+
+@st.composite
+def _sites_with_a_fault(draw, kind):
+    """(spec, sites, fault): distinct nonzero in-domain sites with at most one
+    fault spliced in, fault None, ("domain", k) for a value at or past an end
+    at index k, or ("repeat", j, k) for x[k] repeating x[j], j < k: a copy
+    ("repeat"), or 0.0 beside -0.0 on exponential's infinite domain ("zeros")."""
+    spec = draw(st.sampled_from({"domain": _SITE_SPECS[:2], "zeros": _SITE_SPECS[2:]}.get(
+        kind, _SITE_SPECS)))
+    lo, hi = spec.domain
+    inner = st.floats(max(lo, -3.0), min(hi, 3.0), exclude_min=True, exclude_max=True)
+    x = draw(st.lists(inner.filter(bool), min_size=1, max_size=8, unique=True))
+    if kind == "none":
+        return spec, x, None
+    if kind == "domain":
+        k = draw(st.integers(0, len(x)))
+        x.insert(k, draw(st.sampled_from([lo, hi, lo - 0.5, hi + 0.5])))
+        return spec, x, ("domain", k)
+    if kind == "zeros":
+        first, second = draw(st.permutations([0.0, -0.0]))
+        j = draw(st.integers(0, len(x)))
+        x.insert(j, first)
+    else:
+        j = draw(st.integers(0, len(x) - 1))
+        second = x[j]
+    k = draw(st.integers(j + 1, len(x)))
+    x.insert(k, second)
+    return spec, x, ("repeat", j, k)
+
+
+@pytest.mark.parametrize("kind", ["none", "domain", "repeat", "zeros"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_one_site_rule_at_every_entry_point(kind, data):
+    # kernels.outside and kernels.first_repeat decide the open domain and
+    # distinctness for every reader and entry point: each rejects what the
+    # rule rejects and names the same position; points and queries may repeat
+    spec, x, fault = data.draw(_sites_with_a_fault(kind))
+    kernel = gk.OperatorKernel(spec, gk.TaskCoupling.identity(1))
+    expect = dict.fromkeys(["training", "points", "model", "centers", "query", "stack"])
+    if fault and fault[0] == "domain":
+        v, k = x[fault[1]], fault[1]
+        expect.update(training=f"row {k + 2}, column x: value {v!r} outside open domain",
+                      points=f"row {k + 2}, column x: value {v!r} outside open domain",
+                      model=f"model center {k + 1} ({v!r}) is not a finite point",
+                      centers=f"center {v!r} outside open domain",
+                      query=f"point {v!r} outside open domain",
+                      stack=f"point {v!r} outside open domain")
+    elif fault:
+        _, j, k = fault
+        repeat = (f"centers must be pairwise distinct: center {k + 1} ({x[k]!r}) repeats "
+                  f"center {j + 1}")
+        expect.update(training=f"rows {j + 2} and {k + 2}, column x: repeated value {x[k]!r}",
+                      model=f"model {repeat}", centers=repeat)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "sites.csv")
+        path.write_text("x,y1\n" + "".join(f"{v!r},1.0\n" for v in x))
+        calls = {
+            "training": lambda: read_training_csv(path, spec.domain)[0],
+            "points": lambda: read_points_csv(path, spec.domain),
+            "model": lambda: model_from_dict({"kernel": kernel_to_dict(kernel), "centers": x,
+                                              "coeffs": [[1.0]] * len(x)}).centers,
+            "centers": lambda: validate_centers(spec, x),
+            "query": lambda: require_in_domain(spec, x),
+            "stack": lambda: require_in_domain(spec, np.stack([x, x]))[1],
+        }
+        for name, call in calls.items():
+            if expect[name] is None:
+                assert np.array_equal(call(), x), name
+            else:
+                with pytest.raises(GroupKernelsError) as exc:
+                    call()
+                assert expect[name] in str(exc.value), name
+    # one query at a time: only the value past an end is rejected
+    rejected = []
+    for i, v in enumerate(x):
+        try:
+            assert require_in_domain(spec, v).ndim == 0
+        except DomainError:
+            rejected.append(i)
+    assert rejected == ([fault[1]] if fault and fault[0] == "domain" else [])
